@@ -32,10 +32,8 @@ from .errors import (
 )
 from .exact import (
     ParametricPoint,
-    branch_exponent,
     concentration_profile,
     exact_curve,
-    extinction_parameter,
     param_point_critical,
     param_point_dissolution,
     param_point_growth,
@@ -48,7 +46,9 @@ from .model import (
     DimensionlessProblem,
     PhysicalScenario,
     Regime,
+    branch_exponent,
     classify_regime,
+    extinction_parameter,
     nondimensionalize,
     redimensionalize,
 )

@@ -25,13 +25,13 @@ import numpy as np
 from . import exact
 from .curves import MethodId, RadiusCurve
 from .errors import (
-    ClampedRadiusWarning,
     DomainError,
     EpsilonRangeError,
     ExtrapolationWarning,
     PastDissolutionError,
     warn_clamped,
 )
+from .exact import ARRAY_OPS, FLOAT_OPS
 
 FIT_RANGE = (-0.5, 0.5)
 
@@ -53,26 +53,51 @@ def _check_eps(eps: float, nonzero: bool = False) -> None:
         raise DomainError("epsilon", "this formula is undefined at epsilon = 0")
 
 
+def _qss(eps, t, xp):
+    return xp.sqrt(xp.maximum(1.0 - 2.0 * eps * t, 0.0))
+
+
+def _intuitive(eps, t, xp):
+    # unclamped: the blended radicand squares it
+    return _qss(eps, t, xp) - 2.0 * eps * xp.sqrt(t)
+
+
+def _duda_sq(eps, t, xp):
+    return 1.0 - 2.0 * eps * (2.0 * xp.sqrt(t) + t)
+
+
+#: R(eps, t) of the four unweighted formulas, for floats (FLOAT_OPS) or arrays (ARRAY_OPS).
+_FORMULAS = {
+    MethodId.QSS: _qss,
+    MethodId.SMALL_TIME: lambda eps, t, xp: xp.maximum(1.0 - 2.0 * eps * xp.sqrt(t), 0.0),
+    MethodId.INTUITIVE: lambda eps, t, xp: xp.maximum(_intuitive(eps, t, xp), 0.0),
+    MethodId.DUDA_VRENTAS: lambda eps, t, xp: xp.sqrt(xp.maximum(_duda_sq(eps, t, xp), 0.0)),
+}
+
+
+def _checked(method: MethodId, eps: float, t: float) -> float:
+    """One unweighted formula at one time, after its domain checks: times past
+    its t0 raise, except for the short-time form, which clamps to 0 and warns."""
+    _check_eps(eps, nonzero=method in (MethodId.INTUITIVE, MethodId.DUDA_VRENTAS))
+    _check_time(t)
+    if method is MethodId.SMALL_TIME:
+        if 2.0 * eps * math.sqrt(t) > 1.0:
+            warn_clamped("small-time", t)
+    elif eps > 0:
+        t0 = _T0_DISPATCH[method](eps)
+        if t > t0 * (1.0 + 1e-12):
+            raise PastDissolutionError(t, t0, method.value)
+    return _FORMULAS[method](eps, t, FLOAT_OPS)
+
+
 def qss_radius(eps: float, t: float) -> float:
     """Quasi-steady-state radius sqrt(1 - 2 eps t)."""
-    _check_eps(eps)
-    _check_time(t)
-    if eps > 0:
-        t0 = 0.5 / eps
-        if t > t0 * (1.0 + 1e-12):
-            raise PastDissolutionError(t, t0, "qss")
-    return math.sqrt(max(1.0 - 2.0 * eps * t, 0.0))
+    return _checked(MethodId.QSS, eps, t)
 
 
 def small_time_radius(eps: float, t: float) -> float:
     """Short-time radius 1 - 2 eps sqrt(t); negative values clamp to 0."""
-    _check_eps(eps)
-    _check_time(t)
-    radius = 1.0 - 2.0 * eps * math.sqrt(t)
-    if radius < 0.0:
-        warn_clamped("small-time", t)
-        return 0.0
-    return radius
+    return _checked(MethodId.SMALL_TIME, eps, t)
 
 
 def intuitive_t0(eps: float) -> float:
@@ -85,11 +110,7 @@ def intuitive_t0(eps: float) -> float:
 
 def intuitive_radius(eps: float, t: float) -> float:
     """Combined-flux radius sqrt(1 - 2 eps t) - 2 eps sqrt(t)."""
-    _check_eps(eps, nonzero=True)
-    _check_time(t)
-    if eps > 0 and t > intuitive_t0(eps) * (1.0 + 1e-12):
-        raise PastDissolutionError(t, intuitive_t0(eps), "intuitive")
-    return max(math.sqrt(max(1.0 - 2.0 * eps * t, 0.0)) - 2.0 * eps * math.sqrt(t), 0.0)
+    return _checked(MethodId.INTUITIVE, eps, t)
 
 
 def duda_t0(eps: float) -> float:
@@ -102,11 +123,7 @@ def duda_t0(eps: float) -> float:
 
 def duda_radius(eps: float, t: float) -> float:
     """Boundary-fitted closed-form radius sqrt(1 - 2 eps (2 sqrt(t) + t))."""
-    _check_eps(eps, nonzero=True)
-    _check_time(t)
-    if eps > 0 and t > duda_t0(eps) * (1.0 + 1e-12):
-        raise PastDissolutionError(t, duda_t0(eps), "duda")
-    return math.sqrt(max(1.0 - 2.0 * eps * (2.0 * math.sqrt(t) + t), 0.0))
+    return _checked(MethodId.DUDA_VRENTAS, eps, t)
 
 
 @dataclass(frozen=True)
@@ -159,12 +176,9 @@ def blend_alpha(eps: float, allow_extrapolation: bool = False) -> BlendWeight:
     return BlendWeight(min(max(alpha, 0.0), 1.0), domain)
 
 
-def _blend_radicand(eps: float, alpha: float, t: float) -> float:
-    st = math.sqrt(t)
-    duda_sq = 1.0 - 2.0 * eps * (2.0 * st + t)
-    inner = max(1.0 - 2.0 * eps * t, 0.0)
-    intuitive = math.sqrt(inner) - 2.0 * eps * st
-    return alpha * duda_sq + (1.0 - alpha) * intuitive * intuitive
+def _blend_radicand(eps, alpha, t, xp=FLOAT_OPS):
+    intuitive = _intuitive(eps, t, xp)
+    return alpha * _duda_sq(eps, t, xp) + (1.0 - alpha) * intuitive * intuitive
 
 
 @lru_cache(maxsize=512)
@@ -180,17 +194,10 @@ def blended_t0(eps: float, allow_extrapolation: bool = False) -> float:
     alpha = blend_alpha(eps, allow_extrapolation).alpha
     t_cap = 0.5 / eps
     roots = np.linspace(0.0, math.sqrt(t_cap), _BLEND_SCAN_POINTS + 1)
-    previous = 1.0
-    bracket = None
-    for s in roots[1:]:
-        value = _blend_radicand(eps, alpha, s * s)
-        if value <= 0.0:
-            bracket = (previous, s)
-            break
-        previous = s
-    if bracket is None:
+    crossed = np.flatnonzero(_blend_radicand(eps, alpha, roots[1:] ** 2, ARRAY_OPS) <= 0.0)
+    if crossed.size == 0:
         raise DomainError("epsilon", f"blended radicand has no zero below t={t_cap:g}")
-    lo, hi = bracket[0] ** 2, bracket[1] ** 2
+    lo, hi = roots[crossed[0]] ** 2, roots[crossed[0] + 1] ** 2
     tol = _BLEND_T0_REL_TOL * max(1.0, t_cap)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -244,22 +251,13 @@ def approx_t0(method: MethodId, eps: float) -> float:
     return handler(eps)
 
 
-_RADIUS_DISPATCH = {
-    MethodId.QSS: qss_radius,
-    MethodId.SMALL_TIME: small_time_radius,
-    MethodId.INTUITIVE: intuitive_radius,
-    MethodId.DUDA_VRENTAS: duda_radius,
-    MethodId.BLENDED: blended_radius,
-}
-
-
 def approx_radius(method: MethodId, eps: float, t: float) -> float:
     """Evaluate one of the explicit approximations by method id."""
-    try:
-        handler = _RADIUS_DISPATCH[method]
-    except KeyError:
-        raise DomainError("method", f"{method.value!r} is not an explicit approximation") from None
-    return handler(eps, t)
+    if method is MethodId.BLENDED:
+        return blended_radius(eps, t)
+    if method not in _FORMULAS:
+        raise DomainError("method", f"{method.value!r} is not an explicit approximation")
+    return _checked(method, eps, t)
 
 
 def approx_curve(
@@ -272,19 +270,19 @@ def approx_curve(
     """
     if not isinstance(n, int) or n < 2:
         raise DomainError("n", f"need at least 2 samples, got {n!r}")
-    if method not in _RADIUS_DISPATCH:
-        raise DomainError("method", f"{method.value!r} is not an explicit approximation")
-    _check_eps(eps)
-    if eps > 0:
-        t_end = approx_t0(method, eps)
-        if t_max is not None:
-            t_end = min(t_end, t_max)
-    else:
-        if t_max is None:
-            raise DomainError("t_max", "required for epsilon <= 0 (no finite endpoint)")
-        t_end = t_max
+    approx_radius(method, eps, 0.0)  # refuses other methods and epsilon outside the formula's domain
+    if eps <= 0 and t_max is None:
+        raise DomainError("t_max", "required for epsilon <= 0 (no finite endpoint)")
+    t_end = approx_t0(method, eps) if eps > 0 else t_max
+    if t_max is not None:
+        t_end = min(t_end, t_max)
+    _check_time(t_end)
     times = np.linspace(0.0, math.sqrt(t_end), n) ** 2
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ClampedRadiusWarning)
-        radii = np.array([approx_radius(method, eps, t) for t in times])
+    if method is MethodId.BLENDED:
+        radii = np.sqrt(np.maximum(
+            _blend_radicand(eps, blend_alpha(eps).alpha, times, ARRAY_OPS), 0.0))
+        if eps > 0:
+            radii[times >= blended_t0(eps)] = 0.0
+    else:
+        radii = _FORMULAS[method](eps, times, ARRAY_OPS)
     return RadiusCurve(method, eps, times, radii, {"samples": n, "t_max": t_max})

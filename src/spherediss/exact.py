@@ -20,50 +20,169 @@ function of a single curve parameter and the radius follows algebraically:
 * critical (eps == 2), parameter p >= 0:
       t = exp(-4/(p+2)) / (p+2)^2,   R = p sqrt(t)
 
-Radius-at-time queries invert the monotone t(p) map by bisection, which is
-unconditionally safe even at the extinction endpoint where dt/dp vanishes.
+Each branch is written once, in the offset g = p - lower from the lower
+bound of p, where R = (a g + b) sqrt(t) suffers no cancellation, against
+``FLOAT_OPS`` for one float or ``ARRAY_OPS`` for arrays.  Radius-at-time
+queries invert t(g) by Newton's method kept inside a bracket, which matters
+at extinction, where dt/dg vanishes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .curves import MethodId, RadiusCurve
 from .errors import DomainError, PastDissolutionError
-from .model import Regime, classify_regime
+from .model import Regime, branch_exponent, classify_regime
 
-#: Parametric radii smaller than this are reported as exactly zero; the
-#: extinction endpoint suffers catastrophic cancellation at that scale.
-RADIUS_CLAMP = 1e-13
-
-#: Queries below this time return the initial radius exactly, avoiding the
-#: 1/sqrt(t) singularity of the flux term.
+#: Queries below this time return the initial radius, avoiding the
+#: 1/sqrt(t) singularity of the flux term, where that shortcut's error
+#: 2 |eps| sqrt(t) stays within acceptance criterion 3's 1e-6.
 TINY_TIME = 1e-14
+_SHORTCUT_ERROR = 1e-6
 
-_BISECT_MAX_ITER = 200
-_BISECT_PARAM_TOL = 1e-14
+#: |R - 1| <= |eps| (t + 2 sqrt(t)); below this bound R rounds to 1.0.
+_ROUNDS_TO_ONE = 1e-17
 
-
-def branch_exponent(eps: float) -> float:
-    """sqrt(|eps/(2-eps)|): exponent constant of the implicit time formula."""
-    if not math.isfinite(eps):
-        raise DomainError("epsilon", "must be finite")
-    if eps == 2:
-        raise DomainError("epsilon", "the critical branch has no exponent constant")
-    return math.sqrt(abs(eps / (2.0 - eps)))
+_NEWTON_MAX_ITER = 100
 
 
-def extinction_parameter(eps: float) -> float:
-    """Curve-parameter value at which the radius reaches zero (eps > 0 only)."""
-    if not math.isfinite(eps) or eps <= 0:
-        raise DomainError("epsilon", "the radius only reaches zero for epsilon > 0")
-    if eps == 2:
-        return 0.0
-    return branch_exponent(eps)
+#: The elementwise functions the closed forms are written against.
+FLOAT_OPS = SimpleNamespace(
+    exp=math.exp, log=math.log, log1p=math.log1p, sqrt=math.sqrt, atan2=math.atan2,
+    hypot=math.hypot, maximum=max, minimum=min, any=bool,
+    where=lambda cond, a, b: a if cond else b,
+)
+ARRAY_OPS = SimpleNamespace(
+    exp=np.exp, log=np.log, log1p=np.log1p, sqrt=np.sqrt, atan2=np.arctan2,
+    hypot=np.hypot, maximum=np.maximum, minimum=np.minimum, any=np.any, where=np.where,
+)
+
+
+class _Branch(NamedTuple):
+    """One regime's exact solution as a function of the offset g = p - lower.
+
+    ``log_st(g, xp)`` is log(scale * t(g)), strictly decreasing in g, and
+    ``slope(g, xp)`` is -d log t / d log g > 0.  On the dissolving branches
+    log t(g) >= log t(0) - g^2 / curvature.
+    """
+
+    regime: Regime
+    k: float
+    lower: float
+    scale: float
+    a: float
+    b: float
+    curvature: float
+    log_st: Callable
+    slope: Callable
+
+    def time(self, g, xp=FLOAT_OPS):
+        return xp.exp(self.log_st(g, xp)) / self.scale
+
+    def radius(self, g, t, xp=FLOAT_OPS):
+        r = (self.a * g + self.b) * xp.sqrt(t)
+        # the radius never crosses its initial value; keep rounding from doing so
+        return xp.maximum(r, 1.0) if self.regime is Regime.GROWTH else xp.minimum(r, 1.0)
+
+
+def _branch(eps: float, regime: Regime | None = None) -> _Branch:
+    """The branch table entry for ``eps``, which must lie in ``regime`` if given."""
+    found = classify_regime(eps)
+    if regime is not None and found is not regime:
+        raise DomainError("epsilon", f"{regime.value} branch does not cover epsilon={eps!r}")
+    if found is Regime.CRITICAL:
+        # scale 4 makes t(0) = exp(-2) / 4 exact
+        return _Branch(
+            found, 0.0, 0.0, 4.0, 1.0, 0.0, 4.0,
+            lambda g, xp: -4.0 / (g + 2.0) - 2.0 * xp.log1p(0.5 * g),
+            lambda g, xp: 2.0 * (g / (g + 2.0)) ** 2,
+        )
+    if found is Regime.STATIC:
+        raise DomainError("epsilon", "the static regime has no parametric branch")
+    k = branch_exponent(eps)
+    a = math.sqrt(abs(2.0 - eps)) * math.sqrt(abs(eps))
+    scale = abs(eps * (2.0 - eps))
+    if math.isinf(scale):
+        raise DomainError("epsilon", f"|epsilon (2 - epsilon)| overflows at epsilon={eps!r}")
+    if found is Regime.DISSOLUTION:
+
+        def log_st(g, xp):
+            # 2 atan(p) - pi == -2 atan(1/p) for p > 0, evaluated without cancellation
+            p = k + g
+            return -2.0 * k * xp.atan2(1.0, p) - 2.0 * xp.log(xp.hypot(1.0, p))
+
+        return _Branch(found, k, k, scale, a, 0.0, 2.0 / (2.0 - eps), log_st,
+                       lambda g, xp: 2.0 * (g / xp.hypot(1.0, k + g)) ** 2)
+    if found is Regime.GROWTH:
+        return _Branch(
+            found, k, 1.0, scale, a, a - eps, math.inf,
+            lambda g, xp: k * xp.log1p(2.0 / g) - xp.log(g) - xp.log(g + 2.0),
+            lambda g, xp: 2.0 * (1.0 + g + k) / (g + 2.0),
+        )
+    # supercritical: p - 1 = (k - 1) + g, with k - 1 free of cancellation as eps -> inf
+    km1 = 2.0 / ((eps - 2.0) * (k + 1.0))
+    return _Branch(
+        found, k, k, scale, a, 0.0, 2.0 / (eps - 2.0),
+        lambda g, xp: -k * xp.log1p(2.0 / (km1 + g)) - xp.log(km1 + g) - xp.log(km1 + g + 2.0),
+        lambda g, xp: 2.0 * (g / (km1 + g)) * (g / (km1 + g + 2.0)),
+    )
+
+
+def _offset_at(branch: _Branch, t, xp=FLOAT_OPS):
+    """Solve t(g) = t for the offset g, elementwise.
+
+    Requires 0 < t < t(0) on the dissolving branches.  Newton's method runs
+    in x = log g on log(scale * t(g)), which is close to linear in x at both
+    ends of every branch, and falls back to bisection whenever a step would
+    leave the bracket [lo, hi] built from closed-form bounds on t(g).
+    """
+    # log(scale t): from the product where it stays in range, else from a sum of logs
+    log_scale, t_lo, t_hi = math.log(branch.scale), 1e-300 / branch.scale, 1e300 / branch.scale
+    target = xp.where((t > t_lo) & (t < t_hi),
+                      xp.log(branch.scale * xp.minimum(xp.maximum(t, t_lo), t_hi)),
+                      log_scale + xp.log(t))
+    ln2 = math.log(2.0)
+    # log_st(g) <= -2 log g (+ 2 log 2 on the critical branch), tight as g -> inf
+    large = -0.5 * target
+    if branch.regime is Regime.GROWTH:
+        # t(g) >= 1/(3 scale g) for g <= 1 and t(g) <= 2/(scale g^2) for g >= 2
+        # floored where g no longer changes R = (a g + b) sqrt(t)
+        lo = xp.maximum(xp.minimum(0.0, -math.log(3.0) - target), -700.0)
+        hi = xp.maximum(ln2, 0.5 * (ln2 - target))
+        x = xp.minimum(large, ((branch.k - 1.0) * ln2 - target) / (1.0 + branch.k))
+    else:
+        # the root has g^2 >= curvature * (log t(0) - log t), by the curvature bound
+        drop = xp.maximum(branch.log_st(0.0, xp) - target, 0.0)
+        g_lo = xp.maximum(xp.sqrt(branch.curvature * drop), 1e-150)
+        lo, hi = xp.log(g_lo), large
+        x = xp.where(g_lo < 1.0, lo, large)
+    lo, hi = lo - ln2, hi + 2.0 * ln2
+    x = xp.minimum(xp.maximum(x, lo), hi)
+    tol = 1e-14 * (1.0 + abs(target) + max(log_scale, 0.0))
+    for _ in range(_NEWTON_MAX_ITER):
+        g = xp.exp(x)
+        residual = branch.log_st(g, xp) - target
+        above = residual > 0.0
+        lo = xp.where(above, x, lo)
+        hi = xp.where(above, hi, x)
+        step = x + residual / branch.slope(g, xp)
+        x = xp.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+        if not xp.any((abs(residual) > tol) & (hi - lo > 1e-12)):
+            break
+    return xp.exp(x)
+
+
+def _initial(eps: float, t, xp=FLOAT_OPS):
+    """Where R = 1 is returned as is (eps != 0): the tiny-time shortcut, or R rounds to 1."""
+    root, size = xp.sqrt(t), abs(eps)
+    return (((t < TINY_TIME) & (root <= 0.5 * _SHORTCUT_ERROR / size))
+            | (t + 2.0 * root <= _ROUNDS_TO_ONE / size))
 
 
 @dataclass(frozen=True)
@@ -82,96 +201,47 @@ class ParametricPoint:
             raise DomainError("t", "time and radius must be non-negative")
 
 
-def _log1p_sq(p: float) -> float:
-    # log(1 + p^2) without overflowing p*p for huge parameters
-    if p > 1e100:
-        return 2.0 * math.log(p)
-    return math.log1p(p * p)
-
-
-def _time_dissolution(eps: float, p: float) -> float:
-    k = math.sqrt(eps / (2.0 - eps))
-    # 2 atan(p) - pi == -2 atan(1/p) for p > 0, evaluated without cancellation
-    log_t = -2.0 * k * math.atan(1.0 / p) - math.log(eps * (2.0 - eps)) - _log1p_sq(p)
-    return math.exp(log_t)
-
-
-def _time_growth(eps: float, p: float) -> float:
-    k = math.sqrt(-eps / (2.0 - eps))
-    log_t = (
-        k * math.log1p(2.0 / (p - 1.0))
-        - math.log((-eps) * (2.0 - eps))
-        - math.log(p - 1.0)
-        - math.log(p + 1.0)
-    )
-    return math.exp(log_t) if log_t < 709.0 else math.inf
-
-
-def _time_supercritical(eps: float, p: float) -> float:
-    k = math.sqrt(eps / (eps - 2.0))
-    log_t = (
-        -k * math.log1p(2.0 / (p - 1.0))
-        - math.log(eps * (eps - 2.0))
-        - math.log(p - 1.0)
-        - math.log(p + 1.0)
-    )
-    return math.exp(log_t)
-
-
-def _time_critical(p: float) -> float:
-    return math.exp(-4.0 / (p + 2.0) - 2.0 * math.log(p + 2.0))
-
-
-def _clamp_radius(r: float) -> float:
-    return 0.0 if abs(r) < RADIUS_CLAMP else r
+def _point(branch: _Branch, param: float) -> ParametricPoint:
+    lower, growth = branch.lower, branch.regime is Regime.GROWTH
+    if not math.isfinite(param) or param < lower or (growth and param == lower):
+        raise DomainError("param", f"must be {'>' if growth else '>='} {lower!r}, got {param!r}")
+    g = param - lower
+    t = branch.time(g)
+    return ParametricPoint(param, t, branch.radius(g, t), branch.regime)
 
 
 def param_point_dissolution(eps: float, param: float) -> ParametricPoint:
-    """Evaluate the dissolution branch (0 < eps < 2) at one curve parameter.
-
-    The parameter runs from its lower bound (complete dissolution, R = 0)
-    to infinity (t -> 0, R -> 1).
-    """
-    if not math.isfinite(eps) or not 0.0 < eps < 2.0:
-        raise DomainError("epsilon", f"dissolution branch needs 0 < epsilon < 2, got {eps!r}")
-    lower = extinction_parameter(eps)
-    if not math.isfinite(param) or param < lower:
-        raise DomainError("param", f"must be >= {lower!r} for epsilon={eps!r}, got {param!r}")
-    t = _time_dissolution(eps, param)
-    radius = _clamp_radius((param * math.sqrt(2.0 - eps) - math.sqrt(eps)) * math.sqrt(eps * t))
-    return ParametricPoint(param, t, radius, Regime.DISSOLUTION)
+    """Dissolution branch (0 < eps < 2) at parameter p >= k: from R = 0 at
+    p = k (complete dissolution) to t -> 0, R -> 1 as p -> infinity."""
+    return _point(_branch(eps, Regime.DISSOLUTION), param)
 
 
 def param_point_growth(eps: float, param: float) -> ParametricPoint:
-    """Evaluate the growth branch (eps < 0) at one curve parameter (> 1)."""
-    if not math.isfinite(eps) or eps >= 0.0:
-        raise DomainError("epsilon", f"growth branch needs epsilon < 0, got {eps!r}")
-    if not math.isfinite(param) or param <= 1.0:
-        raise DomainError("param", f"must be > 1, got {param!r}")
-    t = _time_growth(eps, param)
-    radius = (param * math.sqrt(2.0 - eps) + math.sqrt(-eps)) * math.sqrt(-eps * t)
-    return ParametricPoint(param, t, radius, Regime.GROWTH)
+    """Growth branch (eps < 0) at parameter p > 1."""
+    return _point(_branch(eps, Regime.GROWTH), param)
 
 
 def param_point_supercritical(eps: float, param: float) -> ParametricPoint:
-    """Evaluate the supercritical dissolution branch (eps > 2)."""
-    if not math.isfinite(eps) or eps <= 2.0:
-        raise DomainError("epsilon", f"supercritical branch needs epsilon > 2, got {eps!r}")
-    lower = extinction_parameter(eps)
-    if not math.isfinite(param) or param < lower:
-        raise DomainError("param", f"must be >= {lower!r} for epsilon={eps!r}, got {param!r}")
-    t = _time_supercritical(eps, param)
-    radius = _clamp_radius((param * math.sqrt(eps - 2.0) - math.sqrt(eps)) * math.sqrt(eps * t))
-    return ParametricPoint(param, t, radius, Regime.SUPERCRITICAL)
+    """Supercritical dissolution branch (eps > 2) at parameter p >= k."""
+    return _point(_branch(eps, Regime.SUPERCRITICAL), param)
 
 
 def param_point_critical(param: float) -> ParametricPoint:
-    """Evaluate the critical branch (eps == 2) at one curve parameter (>= 0)."""
-    if not math.isfinite(param) or param < 0.0:
-        raise DomainError("param", f"must be >= 0, got {param!r}")
-    t = _time_critical(param)
-    radius = _clamp_radius(param * math.sqrt(t))
-    return ParametricPoint(param, t, radius, Regime.CRITICAL)
+    """Critical branch (eps == 2) at parameter p >= 0."""
+    return _point(_branch(2.0), param)
+
+
+def _time(eps: float, p: float) -> float:
+    """t at curve parameter p on the branch of ``eps``."""
+    branch = _branch(eps)
+    return branch.time(p - branch.lower)
+
+
+_time_dissolution = _time_growth = _time_supercritical = _time
+
+
+def _time_critical(p: float) -> float:
+    return _time(2.0, p)
 
 
 def time_to_dissolution(eps: float) -> float:
@@ -181,116 +251,57 @@ def time_to_dissolution(eps: float) -> float:
 
         0 < eps < 2:  exp(-2 k atan(1/k)) / (2 eps),  k = sqrt(eps/(2-eps))
         eps == 2:     exp(-2) / 4
-        eps > 2:      exp(-2 k atanh(1/k)) / (2 eps), k = sqrt(eps/(eps-2))
+        eps > 2:      exp(-k log((k+1)/(k-1))) / (2 eps), k = sqrt(eps/(eps-2))
 
-    which join continuously at eps = 2.
+    which join continuously at eps = 2; each is the branch's t at g = 0.
     """
-    if not math.isfinite(eps):
-        raise DomainError("epsilon", "must be finite")
     if eps <= 0:
         raise DomainError("epsilon", "dissolution never completes for epsilon <= 0")
-    if eps == 2:
-        return math.exp(-2.0) / 4.0
-    k = branch_exponent(eps)
-    if eps < 2:
-        return math.exp(-2.0 * k * math.atan(1.0 / k)) / (2.0 * eps)
-    return math.exp(-2.0 * k * math.atanh(1.0 / k)) / (2.0 * eps)
+    return _branch(eps).time(0.0)  # rejects non-finite values
 
 
-def _invert_time(time_of: Callable[[float], float], lo: float, hi: float, t: float) -> float:
-    """Bisect the strictly decreasing map ``time_of`` to locate time ``t``.
-
-    ``time_of(lo) >= t >= time_of(hi)`` must hold on entry.
-    """
-    for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if time_of(mid) > t:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _BISECT_PARAM_TOL:
-            break
-    return 0.5 * (lo + hi)
+def _checked_branch(eps: float, lowest: float, highest: float):
+    """radius_at's checks on its smallest and largest time.  Returns the
+    branch (None for eps = 0) and t0 (infinite where the radius never vanishes)."""
+    if not (math.isfinite(eps) and math.isfinite(lowest) and math.isfinite(highest)):
+        raise DomainError("t" if math.isfinite(eps) else "epsilon", "must be finite")
+    if lowest < 0:
+        raise DomainError("t", f"must be non-negative, got {lowest!r}")
+    if eps == 0:
+        return None, math.inf
+    branch = _branch(eps)
+    t0 = branch.time(0.0) if eps > 0 else math.inf
+    if highest > t0 * (1.0 + 1e-12):
+        raise PastDissolutionError(highest, t0)
+    return branch, t0
 
 
-def _branch(eps: float):
-    """Return (time_of_param, radius_of(param, t), lower_bound) for eps != 0."""
-    regime = classify_regime(eps)
-    if regime is Regime.DISSOLUTION:
-        return (
-            lambda p: _time_dissolution(eps, p),
-            lambda p, t: (p * math.sqrt(2.0 - eps) - math.sqrt(eps)) * math.sqrt(eps * t),
-            extinction_parameter(eps),
-        )
-    if regime is Regime.GROWTH:
-        return (
-            lambda p: _time_growth(eps, p),
-            lambda p, t: (p * math.sqrt(2.0 - eps) + math.sqrt(-eps)) * math.sqrt(-eps * t),
-            1.0,
-        )
-    if regime is Regime.SUPERCRITICAL:
-        return (
-            lambda p: _time_supercritical(eps, p),
-            lambda p, t: (p * math.sqrt(eps - 2.0) - math.sqrt(eps)) * math.sqrt(eps * t),
-            extinction_parameter(eps),
-        )
-    if regime is Regime.CRITICAL:
-        return (
-            _time_critical,
-            lambda p, t: p * math.sqrt(t),
-            0.0,
-        )
-    raise DomainError("epsilon", "the static regime has no parametric branch")
-
-
-def _param_at_time(eps: float, t: float) -> float:
-    """Invert t(p) for the regime of ``eps`` (eps != 0, 0 < t <= t0 where bounded)."""
-    time_of, _, lower = _branch(eps)
-    regime = classify_regime(eps)
-    if regime is Regime.GROWTH:
-        # t(p) -> inf as p -> 1+ and -> 0 as p -> inf: expand a bracket both ways
-        lo = 2.0
-        while time_of(lo) < t:
-            lo = 1.0 + 0.25 * (lo - 1.0)
-            if lo - 1.0 < 1e-300:
-                raise DomainError("t", f"t={t!r} too large to invert")
-        hi = max(lo, 2.0)
-        while time_of(hi) > t:
-            hi = 1.0 + 2.0 * (hi - 1.0)
-        return _invert_time(time_of, lo, hi, t)
-    hi = lower + 1.0
-    while time_of(hi) > t:
-        hi = lower + 2.0 * (hi - lower)
-    return _invert_time(time_of, lower, hi, t)
-
-
-def radius_at(eps: float, t: float) -> float:
+def radius_at(eps: float, t):
     """Radius at a given dimensionless time, by inverting the implicit relation.
 
-    For eps > 0 the time must not exceed the complete-dissolution time; such
-    queries raise ``PastDissolutionError``.
+    ``t`` is a float or an array of times (which returns an array).  For
+    eps > 0 no time may exceed the complete-dissolution time; such queries
+    raise ``PastDissolutionError``.
     """
-    if not math.isfinite(eps) or not math.isfinite(t):
-        raise DomainError("t" if math.isfinite(eps) else "epsilon", "must be finite")
-    if t < 0:
-        raise DomainError("t", f"must be non-negative, got {t!r}")
-    if t < TINY_TIME:
+    if not isinstance(t, float) and np.ndim(t):
+        return _radius_array(eps, np.asarray(t, dtype=float))
+    t = float(t)
+    branch, t0 = _checked_branch(eps, t, t)
+    if t >= t0:
+        return 0.0
+    if branch is None or _initial(eps, t):
         return 1.0
-    if eps == 0:
-        return 1.0
-    if eps > 0:
-        t0 = time_to_dissolution(eps)
-        if t > t0:
-            if t <= t0 * (1.0 + 1e-12):
-                return 0.0
-            raise PastDissolutionError(t, t0)
-        if t == t0:
-            return 0.0
-    time_of, radius_of, _ = _branch(eps)
-    p = _param_at_time(eps, t)
-    return max(_clamp_radius(radius_of(p, time_of(p))), 0.0)
+    return branch.radius(_offset_at(branch, t), t)
+
+
+def _radius_array(eps: float, t: np.ndarray) -> np.ndarray:
+    branch, t0 = _checked_branch(eps, *((float(t.min()), float(t.max())) if t.size else (0, 0)))
+    radii = np.where(t >= t0, 0.0, 1.0)
+    if branch is not None:
+        solve = (t < t0) & ~_initial(eps, t, ARRAY_OPS)
+        times = t[solve]
+        radii[solve] = branch.radius(_offset_at(branch, times, ARRAY_OPS), times, ARRAY_OPS)
+    return radii
 
 
 def exact_curve(eps: float, n: int = 256, t_max: float | None = None) -> RadiusCurve:
@@ -308,46 +319,28 @@ def exact_curve(eps: float, n: int = 256, t_max: float | None = None) -> RadiusC
         raise DomainError("epsilon", "must be finite")
     if t_max is not None and (not math.isfinite(t_max) or t_max <= 0):
         raise DomainError("t_max", f"must be positive, got {t_max!r}")
+    if eps <= 0 and t_max is None:
+        raise DomainError("t_max", "required for epsilon <= 0 (no finite endpoint)")
 
-    metadata = {
-        "samples": n,
-        "parameter_grid": "geometric",
-        "t_max": t_max,
-    }
+    metadata = {"samples": n, "parameter_grid": "geometric", "t_max": t_max}
     if eps == 0:
-        if t_max is None:
-            raise DomainError("t_max", "required for epsilon <= 0 (no finite endpoint)")
         times = np.linspace(0.0, t_max, n)
         return RadiusCurve(MethodId.EXACT_QS, eps, times, np.ones(n), metadata)
 
-    time_of, radius_of, lower = _branch(eps)
-
-    if eps > 0:
-        t0 = time_to_dissolution(eps)
-        t_end = min(t_max, t0) if t_max is not None else t0
-        t_first = t_end * 1e-10
-        p_hi = _param_at_time(eps, t_first)
-        if t_end >= t0:
-            # include the extinction endpoint exactly, then fan out geometrically
-            g_small = 1e-6 * (1.0 + lower)
-            offsets = np.concatenate(
-                ([0.0], np.geomspace(g_small, p_hi - lower, n - 1))
-            )
-        else:
-            p_end = _param_at_time(eps, t_end)
-            offsets = np.geomspace(p_end - lower, p_hi - lower, n)
-        params = lower + offsets
+    branch = _branch(eps)
+    t0 = branch.time(0.0) if eps > 0 else math.inf
+    t_end = min(t_max, t0) if t_max is not None else t0
+    g_first = _offset_at(branch, t_end * 1e-10)
+    if t_end >= t0:
+        # include the extinction endpoint exactly, then fan out geometrically
+        offsets = np.concatenate(([0.0], np.geomspace(1e-6 * (1.0 + branch.lower), g_first, n - 1)))
     else:
-        if t_max is None:
-            raise DomainError("t_max", "required for epsilon <= 0 (no finite endpoint)")
-        p_end = _param_at_time(eps, t_max)
-        p_hi = _param_at_time(eps, t_max * 1e-10)
-        params = lower + np.geomspace(p_end - lower, p_hi - lower, n)
+        offsets = np.geomspace(_offset_at(branch, t_end), g_first, n)
 
-    # descending parameter <=> ascending time
-    params = np.sort(params)[::-1]
-    times = np.array([time_of(p) for p in params])
-    radii = np.array([max(_clamp_radius(radius_of(p, t)), 0.0) for p, t in zip(params, times)])
+    # descending offset <=> ascending time
+    offsets = np.sort(offsets)[::-1]
+    times = branch.time(offsets, ARRAY_OPS)
+    radii = branch.radius(offsets, times, ARRAY_OPS)
     return RadiusCurve(MethodId.EXACT_QS, eps, times, radii, metadata)
 
 

@@ -57,6 +57,24 @@ def classify_regime(epsilon: float) -> Regime:
     return Regime.DISSOLUTION
 
 
+def branch_exponent(epsilon: float) -> float:
+    """sqrt(|epsilon / (2 - epsilon)|): the exponent constant k of the implicit
+    time formula.  Undefined at the critical value 2."""
+    if not math.isfinite(epsilon):
+        raise DomainError("epsilon", "must be finite")
+    if epsilon == 2:
+        raise DomainError("epsilon", "the critical branch has no exponent constant")
+    return math.sqrt(abs(epsilon / (2.0 - epsilon)))
+
+
+def extinction_parameter(epsilon: float) -> float:
+    """Curve parameter at which the radius reaches zero (k, or 0 at epsilon = 2);
+    only dissolving regimes (epsilon > 0) have one."""
+    if not math.isfinite(epsilon) or epsilon <= 0:
+        raise DomainError("epsilon", "the radius only reaches zero for epsilon > 0")
+    return 0.0 if epsilon == 2 else branch_exponent(epsilon)
+
+
 @dataclass(frozen=True)
 class PhysicalScenario:
     """Dimensional material and transport parameters of one particle/medium pair.
@@ -134,23 +152,13 @@ class DimensionlessProblem:
 
     @property
     def branch_exponent(self) -> float:
-        """sqrt(|epsilon / (2 - epsilon)|), the exponent constant of the implicit
-        time formula for this branch.  Undefined at the critical value."""
-        if self.epsilon == 2:
-            raise DomainError("epsilon", "the critical branch has no exponent constant")
-        return math.sqrt(abs(self.epsilon / (2.0 - self.epsilon)))
+        """See :func:`branch_exponent`."""
+        return branch_exponent(self.epsilon)
 
     @property
     def extinction_parameter(self) -> float:
-        """Value of the solution-curve parameter at which the radius reaches zero.
-
-        Only dissolving regimes (epsilon > 0) have one.
-        """
-        if self.regime is Regime.CRITICAL:
-            return 0.0
-        if self.regime in (Regime.DISSOLUTION, Regime.SUPERCRITICAL):
-            return self.branch_exponent
-        raise DomainError("epsilon", "the radius never reaches zero for epsilon <= 0")
+        """See :func:`extinction_parameter`."""
+        return extinction_parameter(self.epsilon)
 
 
 @dataclass(frozen=True)

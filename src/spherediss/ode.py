@@ -17,13 +17,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.integrate import DOP853, OdeSolution
-from scipy.optimize import brentq
 
 from .curves import MethodId, RadiusCurve
 from .errors import DomainError, IntegrationError
+
+if TYPE_CHECKING:
+    from scipy.integrate import OdeSolution
 
 
 @dataclass(frozen=True)
@@ -115,6 +117,9 @@ def integrate_radius(
         raise DomainError("t_end", f"must be positive, got {t_end!r}")
     if eps <= 0 and t_end is None:
         raise DomainError("t_end", "required for epsilon <= 0 (integration never stops itself)")
+    # scipy is imported here, not with the package, so that the closed forms load fast
+    from scipy.integrate import DOP853, OdeSolution
+    from scipy.optimize import brentq
 
     if eps > 0:
         # complete dissolution always happens before the steady-flux bound 1/(2 eps)

@@ -26,15 +26,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.sparse import lil_matrix
-from scipy.special import erfc
 
 from .curves import MethodId, RadiusCurve
 from .errors import DomainError, IntegrationError
+
+if TYPE_CHECKING:
+    from scipy.sparse import lil_matrix
 
 #: The analytic far field at the final time must stay below 1e-6 at the
 #: truncation radius; erfc reaches that level at argument 3.46.
@@ -188,6 +188,8 @@ def _default_rhat_max(eps: float, t_stop: float, min_radius: float) -> float:
 
 
 def _jacobian_sparsity(n_interior: int) -> lil_matrix:
+    from scipy.sparse import lil_matrix
+
     n = n_interior + 1
     pattern = lil_matrix((n, n), dtype=float)
     for i in range(n_interior):
@@ -240,6 +242,10 @@ def solve_moving_boundary(
                            config.stretch_ratio)
     nodes = x.size
     n_interior = nodes - 2
+
+    # scipy is imported here, not with the package, so that the closed forms load fast
+    from scipy.integrate import solve_ivp
+    from scipy.special import erfc
 
     w0 = erfc((x - 1.0) * r_init * math.sqrt(math.pi / (4.0 * t_init)))
     w0[0], w0[-1] = 1.0, 0.0

@@ -248,3 +248,18 @@ class TestApproxCurve:
             approx_curve(MethodId.EXACT_QS, 0.1, 50)
         with pytest.raises(DomainError):
             approx_radius(MethodId.ODE_ORACLE, 0.1, 1.0)
+
+    @pytest.mark.parametrize(
+        "method",
+        [MethodId.QSS, MethodId.SMALL_TIME, MethodId.INTUITIVE, MethodId.DUDA_VRENTAS,
+         MethodId.BLENDED],
+    )
+    @pytest.mark.parametrize("eps,t_max", [(0.01, None), (0.3, None), (0.3, 0.5), (-0.3, 50.0)])
+    def test_samples_equal_scalar_formulas(self, method, eps, t_max):
+        # the curve evaluates the scalar formulas' arithmetic on arrays, so the
+        # values must agree exactly
+        curve = approx_curve(method, eps, 257, t_max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ClampedRadiusWarning)
+            loop = [approx_radius(method, eps, t) for t in curve.times]
+        assert curve.radii.tolist() == loop

@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import spherediss
 from spherediss.cli import main, t0_table
 
 
@@ -267,3 +271,45 @@ class TestEnvOverrides:
             capsys, "curve", "--epsilon", "0.1", "--method", "ode", "--samples", "8"
         )
         assert code == 0
+
+
+def run_python(code):
+    """Run ``code`` in a fresh interpreter that imports this spherediss."""
+    env = dict(os.environ)
+    source = os.path.dirname(os.path.dirname(os.path.abspath(spherediss.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+class TestLazyScipy:
+    LIGHT_WORK = """
+import contextlib, io, sys
+import spherediss as sd
+from spherediss.cli import main
+sd.radius_at(0.1, 1.0)
+sd.radius_at(-0.1, [1.0, 2.0])
+sd.time_to_dissolution(3.0)
+sd.exact_curve(0.1, 64)
+sd.approx_curve(sd.MethodId.BLENDED, 0.1, 64)
+sd.blended_t0(0.2)
+sd.concentration_profile(1.0, 1.0, 2.0)
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["invert", "--epsilon", "0.1", "--t", "1"],
+                 ["t0-table", "--epsilons", "0.1,0.01"],
+                 ["curve", "--epsilon", "0.1", "--method", "exact", "--samples", "8"],
+                 ["curve", "--epsilon", "0.1", "--method", "blended", "--samples", "8"],
+                 ["nondim", "--cs", "1", "--c0", "0", "--rho-p", "1200", "--rho-m", "1000",
+                  "--d", "1e-9", "--r0", "2e-6"]):
+        assert main(argv) == 0, argv
+"""
+
+    def test_closed_forms_and_light_commands_never_load_scipy(self):
+        proc = run_python(self.LIGHT_WORK + "print('scipy' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_solvers_load_scipy_on_first_call(self):
+        proc = run_python(self.LIGHT_WORK + "sd.integrate_radius(0.1)\nprint('scipy' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "True"

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spherediss import (
     DomainError,
@@ -20,6 +21,8 @@ from spherediss import (
     time_to_dissolution,
 )
 from spherediss.exact import (
+    ARRAY_OPS,
+    _branch,
     _time_critical,
     _time_dissolution,
     _time_growth,
@@ -350,3 +353,139 @@ class TestConcentrationProfile:
             concentration_profile(1.0, 0.0, 2.0)
         with pytest.raises(DomainError):
             concentration_profile(0.0, 1.0, 2.0)
+
+
+def _mp_branch(mp, eps):
+    """t(g) and R(g, t) of the branch of ``eps`` in mpmath, with g = p - lower."""
+    e = mp.mpf(eps)
+    if e == 2:
+        return (lambda g: mp.exp(-4 / (g + 2)) / (g + 2) ** 2, lambda g, t: g * mp.sqrt(t))
+    if 0 < e < 2:
+        k = mp.sqrt(e / (2 - e))
+        return (
+            lambda g: mp.exp(-2 * k * mp.atan(1 / (k + g))) / (e * (2 - e) * (1 + (k + g) ** 2)),
+            lambda g, t: ((k + g) * mp.sqrt(2 - e) - mp.sqrt(e)) * mp.sqrt(e * t),
+        )
+    if e > 2:
+        k = mp.sqrt(e / (e - 2))
+        return (
+            lambda g: ((k + g + 1) / (k + g - 1)) ** (-k) / (e * (e - 2) * ((k + g) ** 2 - 1)),
+            lambda g, t: ((k + g) * mp.sqrt(e - 2) - mp.sqrt(e)) * mp.sqrt(e * t),
+        )
+    k = mp.sqrt(-e / (2 - e))
+    return (
+        lambda g: ((g + 2) / g) ** k / ((-e) * (2 - e) * g * (g + 2)),
+        lambda g, t: ((1 + g) * mp.sqrt(2 - e) + mp.sqrt(-e)) * mp.sqrt(-e * t),
+    )
+
+
+def _mp_radius(mp, eps, t):
+    """Radius at the float time ``t``, by bisection in log g at 50 digits."""
+    time_of, radius_of = _mp_branch(mp, eps)
+    target = mp.log(mp.mpf(t))
+    lo, hi = mp.mpf(-800), mp.mpf(800)
+    for _ in range(220):
+        mid = (lo + hi) / 2
+        if mp.log(time_of(mp.exp(mid))) > target:
+            lo = mid
+        else:
+            hi = mid
+    return radius_of(mp.exp((lo + hi) / 2), mp.mpf(t))
+
+
+@pytest.fixture
+def mp():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        yield mpmath
+
+
+EDGE_EPSILONS = [2.0 - 1e-12, 2.0 + 1e-12, 1e-300, 1e-8, 1e6]
+
+
+class TestBranchEdgesAgainstMpmath:
+    @pytest.mark.parametrize("eps", EDGE_EPSILONS)
+    def test_dissolution_time(self, mp, eps):
+        reference = _mp_branch(mp, eps)[0](mp.mpf(0))
+        assert abs(time_to_dissolution(eps) - reference) <= 1e-12 * reference
+
+    @pytest.mark.parametrize("fraction", [0.5, 0.9])
+    @pytest.mark.parametrize("eps", EDGE_EPSILONS)
+    def test_radius_during_dissolution(self, mp, eps, fraction):
+        t = fraction * time_to_dissolution(eps)
+        reference = _mp_radius(mp, eps, t)
+        assert abs(radius_at(eps, t) - reference) <= 1e-12 * max(abs(reference), 1)
+
+    @pytest.mark.parametrize(
+        "eps,t", [(-0.1, 1e6), (-1e6, 1.0), (-1e-8, 10.0), (-0.1, 1e300)]
+    )
+    def test_radius_during_growth(self, mp, eps, t):
+        reference = _mp_radius(mp, eps, t)
+        assert abs(radius_at(eps, t) - reference) <= 1e-12 * max(abs(reference), 1)
+
+
+class TestTinyTimeShortcut:
+    def test_dissolution_time_is_checked_first(self):
+        assert time_to_dissolution(1e8) < 1e-15
+        with pytest.raises(PastDissolutionError):
+            radius_at(1e8, 1e-15)
+
+    @pytest.mark.parametrize("eps", [1e6, -1e6, 5.0, -5.0, 0.5])
+    @pytest.mark.parametrize("t", [1e-16, 0.99e-14, 1e-14, 1.01e-14])
+    def test_error_stays_within_criterion_3(self, eps, t):
+        # R = 1 - 2 eps sqrt(t) - eps t + ..., so the shortcut R = 1 may only
+        # be taken where 2 |eps| sqrt(t) <= 1e-6
+        assert abs(radius_at(eps, t) - (1.0 - 2.0 * eps * math.sqrt(t))) <= 1e-6
+
+
+def _epsilon(exponent, sign):
+    return math.copysign(10.0**exponent, sign)
+
+
+epsilons = st.builds(_epsilon, st.floats(-300.0, 6.0), st.sampled_from([1.0, -1.0])) | st.just(2.0)
+fractions = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20)
+log_times = st.lists(st.floats(-16.0, 300.0), min_size=1, max_size=20)
+
+
+def _times(eps, fractions, log_times):
+    if eps > 0:
+        return np.array(fractions) * time_to_dissolution(eps)
+    return 10.0 ** np.array(log_times)
+
+
+class TestBranchTableProperties:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(eps=epsilons)
+    def test_time_strictly_decreasing(self, eps):
+        branch = _branch(eps)
+        if eps > 0:  # resolve the quadratic approach to extinction, log t(0) - g^2/curvature
+            offsets = math.sqrt(branch.curvature) * np.geomspace(1e-4, 1e4, 400)
+        else:
+            offsets = np.geomspace(1e-6, 1e6, 400)
+        assert np.all(np.diff(branch.time(offsets, ARRAY_OPS)) < 0)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(eps=epsilons.filter(lambda e: e > 0))
+    def test_radius_vanishes_at_dissolution_time(self, eps):
+        t0 = time_to_dissolution(eps)
+        assert radius_at(eps, t0) == 0.0
+        assert radius_at(eps, np.array([t0]))[0] == 0.0
+        branch = _branch(eps)
+        assert branch.radius(0.0, branch.time(0.0)) == 0.0
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(eps=epsilons, fractions=fractions, log_times=log_times)
+    def test_array_matches_scalar(self, eps, fractions, log_times):
+        times = _times(eps, fractions, log_times)
+        radii = radius_at(eps, times)
+        scalar = np.array([radius_at(eps, float(t)) for t in times])
+        assert np.all(np.abs(radii - scalar) <= 1e-13 * np.maximum(np.abs(scalar), 1.0))
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(eps=epsilons, fractions=fractions, log_times=log_times)
+    def test_radius_stays_on_its_side_of_one(self, eps, fractions, log_times):
+        radii = radius_at(eps, _times(eps, fractions, log_times))
+        if eps > 0:
+            assert np.all((radii >= 0.0) & (radii <= 1.0))
+        else:
+            assert np.all(radii >= 1.0)
