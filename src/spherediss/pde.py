@@ -14,9 +14,17 @@ The pure-diffusion part carries the 1/(pi R^2) factor of the mapped second
 derivative; the remaining first-order terms are the mesh-motion and physical
 convection contributions of the chain rule.  Spatial discretization is
 second-order central on a geometrically stretched grid (one-sided
-second-order for the surface flux), with local upwinding where the cell
-Peclet number exceeds 2.  Time integration is implicit (BDF) with the
-radius carried as an extra state variable.
+second-order for the surface flux).  The convection a w_x, a = (R'/R) x_adv,
+is exponentially fitted (Il'in 1969, Scharfetter-Gummel 1969): the first
+derivative stays central and the diffusion coefficient D = 1/(pi R^2) is
+scaled by sigma(z) = z coth z, with z = a h / (2 D) on the upwind-side cell
+h (the cell toward larger x when R' > 0, toward the surface otherwise; x_adv
+= x - beta/x^2 >= rho_p/rho_m > 0, so R' alone picks the side).  Since
+sigma(z) >= |z|, 2 D sigma >= |a| h, and every neighbour coupling of the
+tridiagonal block stays non-negative on the stretched grid (the discrete
+maximum principle); sigma = 1 + z^2/3 + ... keeps the right-hand side
+smooth through R' = 0.  Time integration is implicit (BDF) with the radius
+carried as an extra state variable and an analytic sparse Jacobian.
 
 The run starts from the analytic short-time profile at a small positive
 time, which sidesteps the incompatible initial/boundary data at t = 0.
@@ -26,15 +34,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .curves import MethodId, RadiusCurve
 from .errors import DomainError, IntegrationError
-
-if TYPE_CHECKING:
-    from scipy.sparse import lil_matrix
 
 #: The analytic far field at the final time must stay below 1e-6 at the
 #: truncation radius; erfc reaches that level at argument 3.46.
@@ -187,24 +192,85 @@ def _default_rhat_max(eps: float, t_stop: float, min_radius: float) -> float:
     return max(10.0, 1.0 + width)
 
 
-def _jacobian_sparsity(n_interior: int) -> lil_matrix:
-    from scipy.sparse import lil_matrix
+def _mapped_system(x: np.ndarray, eps: float, beta: float):
+    """Right-hand side and analytic sparse Jacobian of the method-of-lines system.
 
-    n = n_interior + 1
-    pattern = lil_matrix((n, n), dtype=float)
-    for i in range(n_interior):
-        for j in (i - 1, i, i + 1):
-            if 0 <= j < n_interior:
-                pattern[i, j] = 1.0
-        pattern[i, 0] = 1.0  # surface flux feeds Rdot which feeds every row
-        if n_interior > 1:
-            pattern[i, 1] = 1.0
-        pattern[i, n - 1] = 1.0
-    pattern[n - 1, 0] = 1.0
-    if n_interior > 1:
-        pattern[n - 1, 1] = 1.0
-    pattern[n - 1, n - 1] = 1.0
-    return pattern
+    The state is y = (w_1, ..., w_{N-2}, R).  With q = eps (w_x|_1 - 1) = R R'
+    each interior row reads dw_i/dt = F_i(w, q) / R^2, where
+    F_i = sigma(q f_i) L2_i(w) / pi + q (adv_i L1_i(w) - react_i w_i), L2 and
+    L1 are the central second and first differences and f_i = (pi/2) adv_i h
+    on the upwind cell.  So the Jacobian is a tridiagonal block plus the
+    columns w_1, w_2 (through q) and R, and the last row dR'/d(w_1, w_2, R).
+    """
+    from scipy.sparse import csc_matrix
+
+    nodes = x.size
+    n_int = nodes - 2
+    n = n_int + 1
+    d0, d1, d2 = _surface_flux_weights(x)
+    xi = x[1:-1]
+    hm = xi - x[:-2]
+    hp = x[2:] - xi
+    span = hm + hp
+    adv = xi - beta / (xi * xi)
+    # rows: weights of w_{i-1}, w_i, w_{i+1}; diffusion over pi, convection and reaction in q
+    diffusion = np.array([2.0 / (hm * span), -2.0 / (hm * hp), 2.0 / (hp * span)]) / math.pi
+    convection = adv * np.array([-hp / (hm * span), (hp - hm) / (hm * hp), hm / (hp * span)])
+    convection[1] -= 1.0 - beta / xi**3
+    # sigma's argument per unit q: half the Peclet number of the upwind cell (adv > 0 on x >= 1)
+    fit_up, fit_down = 0.5 * math.pi * adv * hp, 0.5 * math.pi * adv * hm
+    w = np.zeros(nodes)
+    w[0] = 1.0
+
+    def stencil(weights):
+        return weights[0] * w[:-2] + weights[1] * w[1:-1] + weights[2] * w[2:]
+
+    def terms(y):
+        w[1:-1] = y[:-1]
+        q = eps * (d0 + d1 * float(y[0]) + d2 * float(y[1]) - 1.0)
+        fit = fit_up if q > 0.0 else fit_down
+        z = q * fit
+        sigma = z / np.tanh(z) if q != 0.0 else 1.0
+        return q, fit, z, sigma, sigma * diffusion + q * convection
+
+    def rhs(t, y):
+        q, _, _, _, band = terms(y)
+        radius = float(y[-1])
+        dy = np.empty(n)
+        dy[:-1] = stencil(band) / (radius * radius)
+        dy[-1] = q / radius
+        return dy
+
+    # CSC pattern, built once.  jac lists its values in this order (band
+    # below, on and above the diagonal; columns w_1, w_2 and R; last row)
+    # and value k is summed into slot[k]
+    rows_int = np.arange(n_int)
+    rows = np.concatenate((rows_int[1:], rows_int, rows_int[:-1], rows_int, rows_int, rows_int,
+                           [n_int] * 3))
+    cols = np.concatenate((rows_int[:-1], rows_int, rows_int[1:], np.zeros(n_int, int),
+                           np.ones(n_int, int), np.full(n_int, n_int), [0, 1, n_int]))
+    keys, slot = np.unique(cols * n + rows, return_inverse=True)
+    indptr = np.searchsorted(keys // n, np.arange(n + 1))
+    indices = keys % n
+
+    def jac(t, y):
+        q, fit, z, sigma, band = terms(y)
+        radius = float(y[-1])
+        inv_r2 = 1.0 / (radius * radius)
+        small = np.abs(z) < 1e-2  # dsigma/dz = (sigma - sigma^2 + z^2)/z cancels there
+        slope = np.where(small, z * (2.0 / 3.0 - z * z * (4.0 / 45.0)),
+                         (sigma - sigma * sigma + z * z) / np.where(small, 1.0, z))
+        by_q = (slope * fit * stencil(diffusion) + stencil(convection)) * inv_r2  # d(dw_i/dt)/dq
+        band *= inv_r2
+        values = np.concatenate((
+            band[0, 1:], band[1], band[2, :-1], eps * d1 * by_q, eps * d2 * by_q,
+            (-2.0 / radius) * stencil(band),
+            [eps * d1 / radius, eps * d2 / radius, -q * inv_r2],
+        ))
+        data = np.bincount(slot, weights=values, minlength=keys.size)
+        return csc_matrix((data, indices, indptr), shape=(n, n))
+
+    return rhs, jac
 
 
 def solve_moving_boundary(
@@ -241,9 +307,8 @@ def solve_moving_boundary(
     x, ratio = _build_grid(rhat_max, config.nodes, startup_width / _CELLS_PER_WIDTH,
                            config.stretch_ratio)
     nodes = x.size
-    n_interior = nodes - 2
 
-    # scipy is imported here, not with the package, so that the closed forms load fast
+    # scipy loads with the first solve, not with the package, so that the closed forms load fast
     from scipy.integrate import solve_ivp
     from scipy.special import erfc
 
@@ -261,36 +326,7 @@ def solve_moving_boundary(
             f"(> {100 * config.max_flux_mismatch:.0f}%); increase nodes or t_init",
         )
 
-    xi = x[1:-1]
-    hm = x[1:-1] - x[:-2]
-    hp = x[2:] - x[1:-1]
-    wm2 = 2.0 / (hm * (hm + hp))
-    wp2 = 2.0 / (hp * (hm + hp))
-    wc2 = -(wm2 + wp2)
-    vm = -hp / (hm * (hm + hp))
-    vp = hm / (hp * (hm + hp))
-    vc = -(vm + vp)
-    h_mean = 0.5 * (hm + hp)
-    adv_geom = xi - beta / (xi * xi)
-    react_geom = 1.0 - beta / (xi**3)
-
-    def rhs(t, y):
-        w = np.empty(nodes)
-        w[0] = 1.0
-        w[-1] = 0.0
-        w[1:-1] = y[:-1]
-        radius = y[-1]
-        flux = d0 + d1 * w[1] + d2 * w[2]
-        rdot = (eps / radius) * (flux - 1.0)
-        diff_coef = 1.0 / (math.pi * radius * radius)
-        second = wm2 * w[:-2] + wc2 * w[1:-1] + wp2 * w[2:]
-        first_c = vm * w[:-2] + vc * w[1:-1] + vp * w[2:]
-        a = (rdot / radius) * adv_geom
-        peclet = a * h_mean * (math.pi * radius * radius)
-        first_up = np.where(a > 0.0, (w[2:] - w[1:-1]) / hp, (w[1:-1] - w[:-2]) / hm)
-        first = np.where(np.abs(peclet) > 2.0, first_up, first_c)
-        dw = diff_coef * second + a * first - (rdot / radius) * react_geom * w[1:-1]
-        return np.append(dw, rdot)
+    rhs, jac = _mapped_system(x, eps, beta)
 
     events = []
     if eps > 0:
@@ -309,9 +345,9 @@ def solve_moving_boundary(
         method="BDF",
         rtol=config.rel_tol,
         atol=config.abs_tol,
-        jac_sparsity=_jacobian_sparsity(n_interior),
+        jac=jac,
         events=events or None,
-        dense_output=True,
+        dense_output=len(snapshot_times) > 0,  # the final state is sol.y[:, -1], even at an event
     )
     if sol.status == -1:
         raise IntegrationError(
@@ -335,11 +371,14 @@ def solve_moving_boundary(
             "abs_tol": config.abs_tol,
             "t_init": t_init,
             "stopped_on": stopped_on,
+            "nfev": sol.nfev,
+            "njev": sol.njev,
+            "nlu": sol.nlu,
+            "steps": sol.t.size - 1,
         },
     )
 
-    def field_at(t_snap: float) -> MappedField:
-        y = sol.sol(t_snap)
+    def field_at(t_snap: float, y: np.ndarray) -> MappedField:
         w = np.concatenate(([1.0], y[:-1], [0.0]))
         return MappedField(
             rhat=x.copy(),
@@ -357,12 +396,12 @@ def solve_moving_boundary(
                 "snapshot_times",
                 f"t={t_snap!r} outside the integrated span [{t_init:g}, {t_final:g}]",
             )
-        snapshots.append(field_at(t_snap))
+        snapshots.append(field_at(t_snap, sol.sol(t_snap)))
 
     return MovingBoundaryResult(
         curve=curve,
         snapshots=tuple(snapshots),
-        final_field=field_at(t_final),
+        final_field=field_at(t_final, sol.y[:, -1]),
         stopped_on=stopped_on,
         config_used=config,
     )

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from spherediss import (
     solve_moving_boundary,
     time_to_dissolution,
 )
+from spherediss.pde import _mapped_system, _surface_flux_weights
 
 
 class TestConfigValidation:
@@ -141,3 +143,85 @@ class TestMappedFieldValidation:
         rhat = np.linspace(1.0, 12.0, 4)
         with pytest.raises(ValueError):
             MappedField(rhat, np.array([0.8, 0.5, 0.2, 0.0]), 1.0, 1.0, 1.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _run(eps, ratio, t_end=None, fractions=()):
+    config = PdeConfig() if t_end is None else PdeConfig(t_end=t_end)
+    return solve_moving_boundary(eps, ratio, config, snapshot_times=[f * t_end for f in fractions])
+
+
+def _state(field):
+    """The solver's state vector (interior w = x C, then R) of a field snapshot."""
+    return np.append((field.rhat * field.concentration)[1:-1], field.radius)
+
+
+SAMPLE_FRACTIONS = (1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0)
+
+
+class TestFittedScheme:
+    @pytest.mark.parametrize(
+        "eps,ratio,t_end",
+        [(0.1, 1.0, 1.0), (-0.05, 0.8, 5.0), (0.2, 2.0, 0.5),
+         (-0.1, 0.5, 100.0), (-0.1, 2.0, 100.0), (0.1, 0.5, 2.0), (0.1, 2.0, 2.0)],
+    )
+    def test_tridiagonal_block_keeps_the_maximum_principle(self, eps, ratio, t_end):
+        # the exponential fitting keeps every neighbour coupling non-negative
+        # on the stretched grid; columns w_1 and w_2 also carry the surface
+        # flux's border terms, so the band is checked from column 2 on
+        result = _run(eps, ratio, t_end, SAMPLE_FRACTIONS)
+        for field in result.snapshots:
+            _, jac = _mapped_system(field.rhat, eps, 1.0 - ratio)
+            block = jac(field.t, _state(field)).toarray()[:-1, :-1]
+            floor = -1e-12 * np.max(np.abs(np.diag(block)))
+            assert np.min(np.diag(block, -1)[2:]) >= floor
+            assert np.min(np.diag(block, 1)[1:]) >= floor
+
+    def test_jacobian_matches_finite_differences(self):
+        floor_run = _run(0.1, 1.0)
+        states = [(0.1, 1.0, _run(0.1, 1.0, 1.0, SAMPLE_FRACTIONS).snapshots[-2]),
+                  (0.1, 1.0, floor_run.final_field),
+                  (0.1, 0.5, _run(0.1, 0.5, 2.0, SAMPLE_FRACTIONS).snapshots[-2]),
+                  (0.2, 2.0, _run(0.2, 2.0, 0.5, SAMPLE_FRACTIONS).snapshots[-2]),
+                  (-0.1, 0.5, _run(-0.1, 0.5, 100.0, SAMPLE_FRACTIONS).snapshots[-2]),
+                  (-0.1, 2.0, _run(-0.1, 2.0, 100.0, SAMPLE_FRACTIONS).snapshots[-2])]
+        assert floor_run.final_field.radius == pytest.approx(PdeConfig().min_radius, abs=1e-6)
+        cases = [(eps, ratio, field.rhat, _state(field)) for eps, ratio, field in states]
+        # R' = 0: move w_1 until the surface flux is exactly 1, so the
+        # differences straddle the switch of the upwind side
+        eps, ratio, x, y = cases[0]
+        d0, d1, d2 = _surface_flux_weights(x)
+        y = y.copy()
+        y[0] = (1.0 - d0 - d2 * y[1]) / d1
+        assert abs(_mapped_system(x, eps, 1.0 - ratio)[0](0.0, y)[-1]) < 1e-12
+        cases.append((eps, ratio, x, y))
+        for eps, ratio, x, y in cases:
+            rhs, jac = _mapped_system(x, eps, 1.0 - ratio)
+            analytic = jac(0.0, y).toarray()
+            for j in range(y.size):
+                step = 1e-7 * max(abs(y[j]), 1.0)
+                up, down = y.copy(), y.copy()
+                up[j] += step
+                down[j] -= step
+                numeric = (rhs(0.0, up) - rhs(0.0, down)) / (2.0 * step)
+                scale = np.max(np.abs(analytic[:, j]))
+                assert np.max(np.abs(numeric - analytic[:, j])) <= 1e-6 * scale, (eps, ratio, j)
+
+
+class TestResultOutputs:
+    @pytest.mark.parametrize("eps,config", [(0.2, PdeConfig(t_end=0.5)),
+                                            (1.0, PdeConfig(min_radius=0.5))])
+    def test_final_field_is_the_snapshot_at_the_final_time(self, eps, config):
+        t_final = solve_moving_boundary(eps, 2.0, config).curve.times[-1]
+        result = solve_moving_boundary(eps, 2.0, config, snapshot_times=[t_final])
+        snapshot, final = result.snapshots[0], result.final_field
+        assert final.t == snapshot.t == t_final
+        assert final.radius == pytest.approx(snapshot.radius, abs=1e-12)
+        assert np.max(np.abs(final.concentration - snapshot.concentration)) <= 1e-12
+
+    def test_work_counters_of_the_default_run(self):
+        meta = _run(0.1, 1.0).curve.metadata
+        assert meta["steps"] == len(_run(0.1, 1.0).curve.times) - 1
+        assert meta["steps"] <= 850
+        assert meta["nfev"] <= 2400
+        assert 0 < meta["njev"] <= meta["nlu"]
