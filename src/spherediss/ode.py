@@ -7,10 +7,13 @@ radius y = R^2 against the square-root-time variable tau = sqrt(t):
 
 This removes the 1/sqrt(t) flux singularity at t = 0 (dR/dtau = -2 eps
 exactly there) and keeps the trajectory smooth through complete dissolution,
-where R(t) itself ends in a square-root cusp.  Stepping uses an embedded
-Runge-Kutta pair with dense output; for eps > 0 the run stops once the
-radius falls to the configured floor and the dissolution time is reported
-by the analytic endpoint extrapolation t0 = t_stop + R_stop^2 / (2 eps).
+where R(t) itself ends in a square-root cusp.  Stepping uses the vendored
+scalar DOP853 of ``_dop853`` (the Dormand-Prince 8(5,3) pair of Hairer,
+Norsett & Wanner, "Solving ODEs I", sec. II.5) with scipy's step-size rules
+and 7th-order dense output, on plain floats, so the oracle never imports
+scipy.  For eps > 0 the run stops once the radius falls to the configured
+floor and the dissolution time is reported by the analytic endpoint
+extrapolation t0 = t_stop + R_stop^2 / (2 eps).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .curves import MethodId, RadiusCurve
 from .errors import DomainError, IntegrationError
 
 if TYPE_CHECKING:
-    from scipy.integrate import OdeSolution
+    from . import _dop853
 
 
 @dataclass(frozen=True)
@@ -59,7 +62,7 @@ class RadiusIntegration:
         self,
         epsilon: float,
         curve: RadiusCurve,
-        interpolant: OdeSolution | None,
+        interpolant: _dop853.DenseOutput,
         tau_end: float,
         dissolution_time: float | None,
     ):
@@ -74,28 +77,59 @@ class RadiusIntegration:
         """Last time covered by the dense output."""
         return self._tau_end**2
 
-    def radius_at(self, t: float) -> float:
+    def radius_at(self, t):
+        """Radius at ``t``, a float or an array of times (which returns an array).
+
+        Past the integrated span only a dissolved run answers, with R = 0 up
+        to its dissolution time; other times raise ``DomainError``.
+        """
+        if not isinstance(t, float) and np.ndim(t):
+            return self._radius_array(np.asarray(t, dtype=float))
+        tau = self._checked_tau(float(t))
+        if tau is None:
+            return 0.0
+        return math.sqrt(max(self._interpolant(tau), 0.0))
+
+    def _radius_array(self, t: np.ndarray) -> np.ndarray:
+        with np.errstate(invalid="ignore"):
+            tau = np.sqrt(t)
+        tau_end = self._tau_end
+        tau = np.where((tau > tau_end) & (tau <= tau_end * (1.0 + 1e-12)), tau_end, tau)
+        inside = tau <= tau_end
+        past = t[~inside]
+        limit = -1.0 if self.dissolution_time is None else self.dissolution_time * (1.0 + 1e-9)
+        bad = past[~((past >= 0.0) & (past <= limit))]
+        if bad.size:
+            self._checked_tau(float(bad[0]))  # raises the scalar query's DomainError
+        radii = np.zeros(t.shape)
+        radii[inside] = np.sqrt(np.maximum(self._interpolant(tau[inside]), 0.0))
+        return radii
+
+    def _checked_tau(self, t: float) -> float | None:
+        """tau = sqrt(t) inside the integrated span, None past a completed dissolution."""
         if not math.isfinite(t) or t < 0:
             raise DomainError("t", f"must be a non-negative finite time, got {t!r}")
         tau = math.sqrt(t)
         if tau > self._tau_end and tau <= self._tau_end * (1.0 + 1e-12):
             tau = self._tau_end  # sqrt round-off at the span boundary
         if tau <= self._tau_end:
-            if self._interpolant is None:
-                return 1.0
-            y = float(self._interpolant(tau)[0])
-            return math.sqrt(max(y, 0.0))
+            return tau
         if self.dissolution_time is not None and t <= self.dissolution_time * (1.0 + 1e-9):
-            return 0.0
+            return None
         raise DomainError("t", f"t={t!r} is outside the integrated span (<= {self.t_end:.6g})")
 
 
-def _squared_radius_rate(eps: float):
-    def rhs(tau, y):
-        # sqrt is clamped so trial steps past extinction stay well defined
-        return [-4.0 * eps * (tau + math.sqrt(max(y[0], 0.0)))]
+class _SquaredRadiusRate:
+    """dy/dtau = -4 eps (tau + sqrt(y)), counting its evaluations."""
 
-    return rhs
+    def __init__(self, eps: float):
+        self.scale = -4.0 * eps
+        self.nfev = 0
+
+    def __call__(self, tau: float, y: float) -> float:
+        self.nfev += 1
+        # sqrt is clamped so trial steps past extinction stay well defined
+        return self.scale * (tau + math.sqrt(max(y, 0.0)))
 
 
 def integrate_radius(
@@ -117,9 +151,6 @@ def integrate_radius(
         raise DomainError("t_end", f"must be positive, got {t_end!r}")
     if eps <= 0 and t_end is None:
         raise DomainError("t_end", "required for epsilon <= 0 (integration never stops itself)")
-    # scipy is imported here, not with the package, so that the closed forms load fast
-    from scipy.integrate import DOP853, OdeSolution
-    from scipy.optimize import brentq
 
     if eps > 0:
         # complete dissolution always happens before the steady-flux bound 1/(2 eps)
@@ -128,53 +159,49 @@ def integrate_radius(
     else:
         tau_bound = math.sqrt(t_end)
 
-    floor_sq = config.min_radius**2
-    solver = DOP853(
-        _squared_radius_rate(eps),
-        0.0,
-        np.array([1.0]),
-        t_bound=tau_bound,
-        rtol=config.rel_tol,
-        atol=config.abs_tol,
-    )
+    # the stepper is imported here, not with the package, so the closed forms load fast
+    from . import _dop853
 
-    taus = [0.0]
-    ys = [1.0]
-    segments = []
+    rate = _SquaredRadiusRate(eps)
+    rtol, atol = config.rel_tol, config.abs_tol
+    floor_sq = config.min_radius**2
+    tau, y = 0.0, 1.0
+    f = rate(tau, y)
+    h_abs = _dop853.initial_step(rate, y, f, tau_bound, rtol, atol)
+
+    taus = [tau]
+    ys = [y]
+    rows = []
+    rejected = 0
     dissolution_time = None
-    steps = 0
-    while solver.status == "running":
-        if steps >= config.max_steps:
+    while tau < tau_bound:
+        if len(rows) >= config.max_steps:
             raise IntegrationError(
                 f"max_steps={config.max_steps} exceeded",
-                t=taus[-1] ** 2,
-                radius=math.sqrt(max(ys[-1], 0.0)),
+                t=tau * tau,
+                radius=math.sqrt(max(y, 0.0)),
             )
-        message = solver.step()
-        if solver.status == "failed":
+        step = _dop853.step(rate, tau, y, f, h_abs, tau_bound, rtol, atol)
+        if step is None:
             raise IntegrationError(
-                f"step-size underflow: {message}",
-                t=taus[-1] ** 2,
-                radius=math.sqrt(max(ys[-1], 0.0)),
+                "step-size underflow: required step size is less than spacing between numbers",
+                t=tau * tau,
+                radius=math.sqrt(max(y, 0.0)),
             )
-        steps += 1
-        segment = solver.dense_output()
-        segments.append(segment)
-        taus.append(solver.t)
-        ys.append(float(solver.y[0]))
-        if eps > 0 and ys[-1] <= floor_sq:
-            tau_stop = brentq(
-                lambda s: float(segment(s)[0]) - floor_sq,
-                segment.t_old,
-                segment.t,
-                xtol=1e-15,
-            )
+        tau_new, y_new, k, h_abs, step_rejected = step
+        rejected += step_rejected
+        row = _dop853.dense_row(rate, tau, y, tau_new - tau, y_new, k)
+        rows.append(row)
+        taus.append(tau_new)
+        ys.append(y_new)
+        if eps > 0 and y_new <= floor_sq:
+            tau_stop = _dop853.crossing(row, tau, tau_new, floor_sq)
             taus[-1] = tau_stop
             ys[-1] = floor_sq
             dissolution_time = tau_stop**2 + floor_sq / (2.0 * eps)
             break
+        tau, y, f = tau_new, y_new, k[_dop853.STAGES]
 
-    interpolant = OdeSolution(np.asarray(taus), segments) if segments else None
     times = np.asarray(taus) ** 2
     radii = np.sqrt(np.maximum(np.asarray(ys), 0.0))
     curve = RadiusCurve(
@@ -187,7 +214,10 @@ def integrate_radius(
             "abs_tol": config.abs_tol,
             "min_radius": config.min_radius,
             "dissolution_time": dissolution_time,
-            "steps": steps,
+            "steps": len(rows),
+            "rejected": rejected,
+            "nfev": rate.nfev,
         },
     )
+    interpolant = _dop853.DenseOutput(taus, rows)
     return RadiusIntegration(eps, curve, interpolant, taus[-1], dissolution_time)

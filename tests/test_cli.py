@@ -294,11 +294,14 @@ sd.exact_curve(0.1, 64)
 sd.approx_curve(sd.MethodId.BLENDED, 0.1, 64)
 sd.blended_t0(0.2)
 sd.concentration_profile(1.0, 1.0, 2.0)
+sd.integrate_radius(0.1).radius_at([0.5, 1.0])
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in (["invert", "--epsilon", "0.1", "--t", "1"],
                  ["t0-table", "--epsilons", "0.1,0.01"],
                  ["curve", "--epsilon", "0.1", "--method", "exact", "--samples", "8"],
                  ["curve", "--epsilon", "0.1", "--method", "blended", "--samples", "8"],
+                 ["curve", "--epsilon", "0.1", "--method", "ode", "--samples", "8"],
+                 ["compare", "--epsilon", "0.1", "--methods", "exact,qss,ode", "--samples", "8"],
                  ["nondim", "--cs", "1", "--c0", "0", "--rho-p", "1200", "--rho-m", "1000",
                   "--d", "1e-9", "--r0", "2e-6"]):
         assert main(argv) == 0, argv
@@ -310,6 +313,61 @@ with contextlib.redirect_stdout(io.StringIO()):
         assert proc.stdout.strip() == "False"
 
     def test_solvers_load_scipy_on_first_call(self):
-        proc = run_python(self.LIGHT_WORK + "sd.integrate_radius(0.1)\nprint('scipy' in sys.modules)")
+        # only the moving-boundary solver needs scipy; the ODE oracle runs on floats
+        pde_call = "sd.solve_moving_boundary(0.1, 1.0, sd.PdeConfig(t_end=1e-3))\n"
+        proc = run_python(self.LIGHT_WORK + pde_call + "print('scipy' in sys.modules)")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "True"
+
+
+GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "cli_golden.json")
+with open(GOLDEN_PATH, encoding="utf-8") as _handle:
+    GOLDEN_CASES = json.load(_handle)
+
+
+def split_summary(text):
+    """Output without its ``# summary`` lines, and those lines' values."""
+    body, summary = [], {}
+    for line in text.splitlines(keepends=True):
+        if line.startswith("# summary "):
+            key, value = line[len("# summary "):].strip().split("=", 1)
+            summary[key] = float(value)
+        else:
+            body.append(line)
+    return "".join(body), summary
+
+
+class TestGoldenOutput:
+    """CSV output of invert, t0-table, nondim, curve and compare, pinned.
+
+    ``tests/data/cli_golden.json`` holds each command's stdout as the scipy
+    DOP853 oracle printed it.  The 6-significant-digit display must match
+    byte for byte.  The full-precision ``# summary`` deviations of ``compare``
+    are differences of radii that agree to ~1e-10, so a last-digit change of
+    either radius moves them; they are compared to 1e-9 absolute.
+    """
+
+    @pytest.mark.parametrize(
+        "case", GOLDEN_CASES, ids=lambda case: "_".join(a.lstrip("-") for a in case["argv"])
+    )
+    def test_matches_golden(self, capsys, case):
+        code, out, err = run_cli(capsys, *case["argv"])
+        assert code == 0, err
+        body, summary = split_summary(out)
+        golden_body, golden_summary = split_summary(case["stdout"])
+        assert body == golden_body
+        assert summary.keys() == golden_summary.keys()
+        for key, value in golden_summary.items():
+            assert summary[key] == pytest.approx(value, rel=0, abs=1e-9), key
+
+    def test_ode_curve_to_extinction_ends_at_the_floor(self, capsys):
+        # The last row lies at the floor crossing, where y = R^2 ~ 1e-16 is below the
+        # interpolant's rounding, so its digits are noise and it is pinned by scale.
+        code, out, _ = run_cli(
+            capsys, "curve", "--epsilon", "0.1", "--method", "ode", "--samples", "9", "--raw"
+        )
+        assert code == 0
+        _, rows = parse_csv(out)
+        t_last, r_last = (float(v) for v in rows[-1])
+        assert t_last == pytest.approx(spherediss.time_to_dissolution(0.1), rel=1e-9)
+        assert 0.0 <= r_last <= 2e-8

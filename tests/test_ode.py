@@ -110,6 +110,15 @@ class TestErrorPaths:
         with pytest.raises(IntegrationError):
             integrate_radius(0.1, config=config)
 
+    def test_step_size_underflow_raises(self, monkeypatch):
+        # a rate that never passes the error test shrinks the step until it underflows
+        from spherediss import _dop853
+
+        assert _dop853.step(lambda t, y: math.nan, 1.0, 1.0, 0.0, 1e-3, 2.0, 1e-10, 1e-10) is None
+        monkeypatch.setattr(_dop853, "step", lambda *args: None)
+        with pytest.raises(IntegrationError, match="underflow"):
+            integrate_radius(0.1)
+
     def test_query_outside_span(self):
         run = integrate_radius(0.1, t_end=1.0)
         with pytest.raises(DomainError):
@@ -132,3 +141,130 @@ class TestCurveMetadata:
         assert run.curve.metadata["abs_tol"] == 1e-9
         assert run.curve.metadata["dissolution_time"] == run.dissolution_time
         assert run.curve.epsilon == 0.2
+
+
+class TestWorkCounters:
+    @pytest.mark.parametrize("eps, t_end", [(0.1, None), (1e4, None), (-10.0, 50.0), (0.0, 5.0)])
+    def test_nfev_counts_every_stage(self, eps, t_end):
+        # two calls choose the first step, twelve per trial step, three more per
+        # accepted step for the dense output
+        meta = integrate_radius(eps, t_end=t_end).curve.metadata
+        steps, rejected = meta["steps"], meta["rejected"]
+        assert meta["nfev"] == 2 + 12 * (steps + rejected) + 3 * steps
+
+
+class TestArrayQueries:
+    @pytest.mark.parametrize("eps, t_end", [(0.1, None), (1.5, None), (-0.2, 40.0)])
+    def test_array_equals_scalar_bit_for_bit(self, eps, t_end):
+        run = integrate_radius(eps, t_end=t_end)
+        times = np.concatenate([
+            np.linspace(0.0, run.t_end, 257),
+            run.curve.times,
+            [run.t_end * (1.0 + 1e-13)],
+            [run.dissolution_time] if run.dissolution_time is not None else [],
+        ])
+        radii = run.radius_at(times)
+        assert isinstance(radii, np.ndarray)
+        assert radii.shape == times.shape
+        scalar = [run.radius_at(float(t)) for t in times]
+        assert all(type(r) is float for r in scalar)
+        assert np.array_equal(radii, scalar)
+
+    def test_shape_and_sequence_inputs(self):
+        run = integrate_radius(0.1)
+        grid = np.linspace(0.0, 2.0, 6).reshape(2, 3)
+        assert run.radius_at(grid).shape == (2, 3)
+        assert np.array_equal(run.radius_at([0.5, 1.0]), run.radius_at(np.array([0.5, 1.0])))
+        assert run.radius_at(np.array([])).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, 2.0])
+    def test_same_domain_errors_as_scalar(self, bad):
+        run = integrate_radius(0.1, t_end=1.0)
+        with pytest.raises(DomainError) as scalar:
+            run.radius_at(bad)
+        with pytest.raises(DomainError) as array:
+            run.radius_at(np.array([0.5, bad, 0.25]))
+        assert str(array.value) == str(scalar.value)
+
+    def test_past_extinction_is_zero_in_arrays(self):
+        run = integrate_radius(0.1)
+        radii = run.radius_at(np.array([0.0, run.dissolution_time]))
+        assert radii[0] == 1.0 and radii[1] == 0.0
+
+
+REFERENCE_EPSILONS = [1e-4, 1e-3, 0.1, 1.0, 2.0, 5.0, 100.0, 1e4, -1e-3, -0.1, -1.0, -10.0]
+
+
+def scipy_reference(eps, t_end):
+    """The same oracle run with scipy's DOP853, OdeSolution and brentq."""
+    from scipy.integrate import DOP853, OdeSolution
+    from scipy.optimize import brentq
+
+    config = IntegratorConfig()
+    if eps > 0:
+        tau_bound = math.sqrt(0.5 / eps) * (1.0 + 1e-9)
+    else:
+        tau_bound = math.sqrt(t_end)
+    solver = DOP853(
+        lambda tau, y: [-4.0 * eps * (tau + math.sqrt(max(y[0], 0.0)))],
+        0.0, np.array([1.0]), t_bound=tau_bound, rtol=config.rel_tol, atol=config.abs_tol,
+    )
+    floor_sq = config.min_radius**2
+    taus, segments, dissolution_time = [0.0], [], None
+    while solver.status == "running":
+        solver.step()
+        segment = solver.dense_output()
+        segments.append(segment)
+        taus.append(solver.t)
+        if eps > 0 and solver.y[0] <= floor_sq:
+            taus[-1] = brentq(lambda s: float(segment(s)[0]) - floor_sq,
+                              segment.t_old, segment.t, xtol=1e-15)
+            dissolution_time = taus[-1] ** 2 + floor_sq / (2.0 * eps)
+            break
+    return len(segments), OdeSolution(np.asarray(taus), segments), taus[-1], dissolution_time
+
+
+class TestAgainstScipy:
+    def test_tableau_is_scipys(self):
+        from scipy.integrate._ivp import dop853_coefficients as reference
+
+        from spherediss import _dop853
+
+        n = reference.N_STAGES_EXTENDED
+        table = np.zeros((n, n))
+        for s, row in enumerate(_dop853.A):
+            table[s, :s] = row
+        assert np.array_equal(np.asarray(_dop853.C), reference.C)
+        assert np.array_equal(table, reference.A)
+        assert np.array_equal(np.asarray(_dop853.E3), reference.E3)
+        assert np.array_equal(np.asarray(_dop853.E5), reference.E5)
+        assert np.array_equal(np.asarray(_dop853.D), reference.D)
+
+    @pytest.mark.parametrize("eps", REFERENCE_EPSILONS)
+    def test_same_steps_and_solution(self, eps):
+        t_end = None if eps > 0 else 50.0
+        steps, solution, tau_end, dissolution_time = scipy_reference(eps, t_end)
+        run = integrate_radius(eps, t_end=t_end)
+        assert run.curve.metadata["steps"] == steps
+        taus = np.linspace(0.0, tau_end, 501)
+        expected = np.maximum(solution(taus)[0], 0.0)
+        got = run.radius_at(taus**2) ** 2
+        assert np.all(np.abs(got - expected) <= 1e-9 * np.maximum(1.0, expected))
+        if eps > 0:
+            assert run.dissolution_time == pytest.approx(dissolution_time, rel=1e-8)
+            assert run.dissolution_time == pytest.approx(time_to_dissolution(eps), rel=1e-6)
+        else:
+            assert run.dissolution_time is None
+
+    def test_oracle_gap_to_closed_form(self):
+        # criterion 3's measure over its epsilons: closed form against the oracle
+        gap = 0.0
+        for eps in (-0.5, -0.1, -0.01, 0.01, 0.1, 0.5, 1.0, 1.9, 2.0, 2.1, 5.0):
+            if eps > 0:
+                run = integrate_radius(eps)
+                grid = np.linspace(0.0, 0.995 * min(run.t_end, time_to_dissolution(eps)), 100)
+            else:
+                run = integrate_radius(eps, t_end=100.0)
+                grid = np.linspace(0.0, 100.0, 100)
+            gap = max(gap, float(np.max(np.abs(radius_at(eps, grid) - run.radius_at(grid)))))
+        assert gap <= 1e-6
