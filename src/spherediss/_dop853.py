@@ -12,8 +12,6 @@ from __future__ import annotations
 import bisect
 import math
 
-import numpy as np
-
 # DOP853 tableau from Hairer's dop853.f, in the digits of scipy's
 # scipy/integrate/_ivp/dop853_coefficients.py (BSD-3-Clause, the SciPy
 # developers).  Stages 0-11 take a step, row A[12] holds the weights of the
@@ -146,9 +144,9 @@ def step(rate, t: float, y: float, f: float, h_abs: float, t_bound: float,
          rtol: float, atol: float):
     """One accepted step from (t, y), where f is the derivative there.
 
-    Returns the step end, the new value, the 13 stages (the last is the
-    derivative at the end), the next step size and the number of rejected
-    trials, or None once the step size underflows.
+    Returns the step end, the new value and the derivative there, the step's
+    interpolant, the next step size and the number of rejected trials, or
+    None once the step size underflows.
     """
     min_step = 10.0 * (math.nextafter(t, math.inf) - t)
     h_abs = max(h_abs, min_step)
@@ -178,12 +176,13 @@ def step(rate, t: float, y: float, f: float, h_abs: float, t_bound: float,
                 factor = min(MAX_FACTOR, SAFETY * error_norm**ERROR_EXPONENT)
             if rejected:
                 factor = min(1.0, factor)
-            return t_new, y_new, k, h_abs * factor, rejected
+            row = _dense_row(rate, t, y, h, y_new, k)
+            return t_new, y_new, k[STAGES], row, h_abs * factor, rejected
         h_abs *= max(MIN_FACTOR, SAFETY * error_norm**ERROR_EXPONENT)
         rejected += 1
 
 
-def dense_row(rate, t: float, y: float, h: float, y_new: float, k: list) -> tuple:
+def _dense_row(rate, t: float, y: float, h: float, y_new: float, k: list) -> tuple:
     """Interpolant of one accepted step: (t, h, y, F0, ..., F6).
 
     Appends the three extra stages to ``k``.
@@ -195,8 +194,8 @@ def dense_row(rate, t: float, y: float, h: float, y_new: float, k: list) -> tupl
             *(h * _dot(row, k) for row in D))
 
 
-def _interpolate(t, t_old, h, y_old, f0, f1, f2, f3, f4, f5, f6):
-    # scipy's nested form; floats and arrays take the same operations
+def _interpolate(t: float, t_old, h, y_old, f0, f1, f2, f3, f4, f5, f6) -> float:
+    """y at ``t`` from one step's interpolant, in scipy's nested form."""
     x = (t - t_old) / h
     y = f6 * x
     y = (y + f5) * (1 - x)
@@ -225,18 +224,13 @@ class DenseOutput:
     """Continuous solution over the accepted steps.
 
     ``ts`` are the step boundaries (the last may be cut short of its step's
-    end) and ``rows`` the matching ``dense_row`` interpolants.
+    end) and ``rows`` the matching interpolants.
     """
 
     def __init__(self, ts: list[float], rows: list[tuple]):
         self.ts = ts
-        self._table = np.array(rows)
+        self._rows = rows
 
-    def __call__(self, t):
-        """y at ``t``, a float or an array; both round alike."""
-        last = len(self._table) - 1
-        if isinstance(t, float):
-            i = min(max(bisect.bisect_left(self.ts, t) - 1, 0), last)
-            return _interpolate(t, *self._table[i].tolist())
-        i = np.clip(np.searchsorted(self.ts, t) - 1, 0, last)
-        return _interpolate(t, *self._table[i].T)
+    def __call__(self, t: float) -> float:
+        i = min(max(bisect.bisect_left(self.ts, t) - 1, 0), len(self._rows) - 1)
+        return _interpolate(t, *self._rows[i])

@@ -132,28 +132,16 @@ def _parse_method(name: str) -> MethodId:
         raise DomainError("method", str(exc)) from None
 
 
-def _ode_sample(eps: float, t_end: float | None, times: np.ndarray | None = None,
-                samples: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Run the ODE oracle up to ``t_end`` (to dissolution if None) and sample it.
-
-    The radii come from one array query, at ``times`` or else on a grid of
-    ``samples`` points uniform in sqrt(t) over the span the run covers.
-    """
-    run = ode.integrate_radius(eps, t_end=t_end, config=_ode_config())
-    if times is None:
-        span = min(run.t_end, t_end) if t_end is not None else run.t_end
-        times = np.linspace(0.0, math.sqrt(span), samples) ** 2
-    return times, run.radius_at(times)
-
-
 def _method_curve(method: MethodId, eps: float, n: int, t_max: float | None) -> RadiusCurve:
     if method is MethodId.EXACT_QS:
         return exact.exact_curve(eps, n, t_max)
     if method is MethodId.ODE_ORACLE:
         if eps <= 0 and t_max is None:
             raise DomainError("t-max", "required for epsilon <= 0")
-        times, radii = _ode_sample(eps, t_max, samples=n)
-        return RadiusCurve(method, eps, times, radii, {"samples": n, "t_max": t_max})
+        run = ode.integrate_radius(eps, t_end=t_max, config=_ode_config())
+        t_end = min(run.t_end, t_max) if t_max is not None else run.t_end
+        times = np.linspace(0.0, math.sqrt(t_end), n) ** 2
+        return RadiusCurve(method, eps, times, run.radius_at(times), {"samples": n, "t_max": t_max})
     if method is MethodId.PDE_REFERENCE:
         raise DomainError("method", "use the 'pde' subcommand (needs --rho-ratio and a mesh)")
     return approx.approx_curve(method, eps, n, t_max)
@@ -232,7 +220,12 @@ def _cmd_compare(args) -> None:
             if method is MethodId.EXACT_QS:
                 values = exact_values
             elif method is MethodId.ODE_ORACLE:
-                _, values = _ode_sample(eps, None if eps > 0 else float(times[-1]), times=times)
+                run = ode.integrate_radius(
+                    eps,
+                    t_end=None if eps > 0 else float(times[-1]),
+                    config=_ode_config(),
+                )
+                values = run.radius_at(times)
             elif method is MethodId.PDE_REFERENCE:
                 result = pde.solve_moving_boundary(
                     eps,

@@ -81,41 +81,26 @@ class RadiusIntegration:
         """Radius at ``t``, a float or an array of times (which returns an array).
 
         Past the integrated span only a dissolved run answers, with R = 0 up
-        to its dissolution time; other times raise ``DomainError``.
+        to its dissolution time; other times raise ``DomainError``.  At the
+        span's end the radius is the run's last one (``min_radius`` after a
+        stop at the floor), not the interpolant's rounding there.
         """
-        if not isinstance(t, float) and np.ndim(t):
-            return self._radius_array(np.asarray(t, dtype=float))
-        tau = self._checked_tau(float(t))
-        if tau is None:
-            return 0.0
-        return math.sqrt(max(self._interpolant(tau), 0.0))
+        if np.ndim(t):
+            radii = [self._radius(float(x)) for x in np.ravel(t)]
+            return np.array(radii, dtype=float).reshape(np.shape(t))
+        return self._radius(float(t))
 
-    def _radius_array(self, t: np.ndarray) -> np.ndarray:
-        with np.errstate(invalid="ignore"):
-            tau = np.sqrt(t)
-        tau_end = self._tau_end
-        tau = np.where((tau > tau_end) & (tau <= tau_end * (1.0 + 1e-12)), tau_end, tau)
-        inside = tau <= tau_end
-        past = t[~inside]
-        limit = -1.0 if self.dissolution_time is None else self.dissolution_time * (1.0 + 1e-9)
-        bad = past[~((past >= 0.0) & (past <= limit))]
-        if bad.size:
-            self._checked_tau(float(bad[0]))  # raises the scalar query's DomainError
-        radii = np.zeros(t.shape)
-        radii[inside] = np.sqrt(np.maximum(self._interpolant(tau[inside]), 0.0))
-        return radii
-
-    def _checked_tau(self, t: float) -> float | None:
-        """tau = sqrt(t) inside the integrated span, None past a completed dissolution."""
+    def _radius(self, t: float) -> float:
         if not math.isfinite(t) or t < 0:
             raise DomainError("t", f"must be a non-negative finite time, got {t!r}")
         tau = math.sqrt(t)
-        if tau > self._tau_end and tau <= self._tau_end * (1.0 + 1e-12):
-            tau = self._tau_end  # sqrt round-off at the span boundary
-        if tau <= self._tau_end:
-            return tau
-        if self.dissolution_time is not None and t <= self.dissolution_time * (1.0 + 1e-9):
-            return None
+        if tau < self._tau_end:
+            return math.sqrt(max(self._interpolant(tau), 0.0))
+        dissolved = self.dissolution_time is not None
+        if dissolved and self.t_end < t <= self.dissolution_time * (1.0 + 1e-9):
+            return 0.0
+        if tau <= self._tau_end * (1.0 + 1e-12):
+            return float(self.curve.radii[-1])  # at the span's end, or past it by sqrt round-off
         raise DomainError("t", f"t={t!r} is outside the integrated span (<= {self.t_end:.6g})")
 
 
@@ -188,9 +173,8 @@ def integrate_radius(
                 t=tau * tau,
                 radius=math.sqrt(max(y, 0.0)),
             )
-        tau_new, y_new, k, h_abs, step_rejected = step
+        tau_new, y_new, f, row, h_abs, step_rejected = step
         rejected += step_rejected
-        row = _dop853.dense_row(rate, tau, y, tau_new - tau, y_new, k)
         rows.append(row)
         taus.append(tau_new)
         ys.append(y_new)
@@ -200,7 +184,7 @@ def integrate_radius(
             ys[-1] = floor_sq
             dissolution_time = tau_stop**2 + floor_sq / (2.0 * eps)
             break
-        tau, y, f = tau_new, y_new, k[_dop853.STAGES]
+        tau, y = tau_new, y_new
 
     times = np.asarray(taus) ** 2
     radii = np.sqrt(np.maximum(np.asarray(ys), 0.0))

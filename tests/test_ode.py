@@ -62,6 +62,13 @@ class TestDissolution:
         # queries at or past the stopping radius resolve to the floor scale
         assert run.radius_at(run.dissolution_time) <= 2e-8
 
+    @pytest.mark.parametrize("eps", [0.01, 0.1, 0.5, 1.0, 1.5, 3.0, 100.0])
+    def test_span_end_is_the_floor_radius(self, eps):
+        # the interpolant's rounding at y = R^2 ~ 1e-16 does not leak into R(t_end)
+        run = integrate_radius(eps)
+        assert run.radius_at(run.t_end) == run.curve.radii[-1] == IntegratorConfig().min_radius
+        assert run.radius_at(np.array([run.t_end]))[0] == run.curve.radii[-1]
+
 
 class TestStaticAndGrowth:
     def test_static_stays_at_unity(self):
