@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import exact
-from .curves import MethodId, RadiusCurve
+from .curves import MethodId, RadiusCurve, check_grid
 from .errors import (
     DomainError,
     EpsilonRangeError,
@@ -268,11 +268,8 @@ def approx_curve(
     For eps > 0 the grid spans [0, t0(method)] unless ``t_max`` cuts it
     short; for eps <= 0 a ``t_max`` is required.
     """
-    if not isinstance(n, int) or n < 2:
-        raise DomainError("n", f"need at least 2 samples, got {n!r}")
+    check_grid(eps, n, t_max)
     approx_radius(method, eps, 0.0)  # refuses other methods and epsilon outside the formula's domain
-    if eps <= 0 and t_max is None:
-        raise DomainError("t_max", "required for epsilon <= 0 (no finite endpoint)")
     t_end = approx_t0(method, eps) if eps > 0 else t_max
     if t_max is not None:
         t_end = min(t_end, t_max)

@@ -3,10 +3,13 @@ tables, method comparison, the moving-boundary reference solver, and
 physical-unit conversion.
 
 Output is CSV (default) or JSON, to stdout or a file.  Display columns carry
-6 significant digits; ``--raw`` switches to full float precision.  Exit
-codes: 0 success, 2 argument error, 3 domain error (a value outside some
-formula's validity range), with a one-line ``argument: message`` diagnostic
-on stderr.
+6 significant digits; ``--raw`` switches to full float precision.  ``pde``
+prints its JSON summary on stdout; its ``--output`` curve follows
+``--format``/``--raw`` like every other command, and its snapshot files are
+always full-precision CSV.  Each ``SPHEREDISS_*`` tolerance variable, when
+unset, falls back to the solver config's own default.  Exit codes: 0
+success, 2 argument error, 3 domain error (a value outside some formula's
+validity range), with a one-line ``argument: message`` diagnostic on stderr.
 """
 
 from __future__ import annotations
@@ -22,25 +25,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, approx, exact, model, ode, pde
-from .curves import MethodId, RadiusCurve
+from .curves import MethodId, RadiusCurve, check_grid
 from .errors import ClampedRadiusWarning, DomainError
 
 _ENV_PREFIX = "SPHEREDISS_"
 
-#: Environment variables that override default solver tolerances.
-_ENV_DEFAULTS = {
-    "ODE_RTOL": 1e-10,
-    "ODE_ATOL": 1e-10,
-    "ODE_MIN_RADIUS": 1e-8,
-    "PDE_RTOL": 1e-8,
-    "PDE_ATOL": 1e-8,
-}
 
-
-def _env_float(name: str) -> float:
+def _env_float(name: str, default: float) -> float:
+    """``SPHEREDISS_<name>`` as a float, or ``default`` when it is unset."""
     raw = os.environ.get(_ENV_PREFIX + name)
     if raw is None:
-        return _ENV_DEFAULTS[name]
+        return default
     try:
         return float(raw)
     except ValueError:
@@ -48,11 +43,18 @@ def _env_float(name: str) -> float:
 
 
 def _ode_config() -> ode.IntegratorConfig:
-    return ode.IntegratorConfig(
-        rel_tol=_env_float("ODE_RTOL"),
-        abs_tol=_env_float("ODE_ATOL"),
-        min_radius=_env_float("ODE_MIN_RADIUS"),
+    cls = ode.IntegratorConfig
+    return cls(
+        rel_tol=_env_float("ODE_RTOL", cls.rel_tol),
+        abs_tol=_env_float("ODE_ATOL", cls.abs_tol),
+        min_radius=_env_float("ODE_MIN_RADIUS", cls.min_radius),
     )
+
+
+def _pde_config(**fields) -> pde.PdeConfig:
+    cls = pde.PdeConfig
+    return cls(rel_tol=_env_float("PDE_RTOL", cls.rel_tol),
+               abs_tol=_env_float("PDE_ATOL", cls.abs_tol), **fields)
 
 
 @dataclass(frozen=True)
@@ -89,40 +91,43 @@ def t0_table(epsilons: list[float]) -> list[ReportRow]:
     return rows
 
 
-def _fmt(value: float, raw: bool) -> str:
-    if raw:
-        return repr(float(value))
-    if isinstance(value, float) and math.isnan(value):
-        return "nan"
-    return f"{value:.6g}"
+def _fmt(value: float | str, raw: bool) -> str:
+    if isinstance(value, str):
+        return value
+    return repr(float(value)) if raw else f"{value:.6g}"
 
 
-def _meta_lines(meta: dict) -> list[str]:
-    return [f"# {key}={value}" for key, value in meta.items()]
+def _csv(meta: dict, columns: list[str], rows, raw: bool, summary: dict | None = None) -> str:
+    lines = [f"# {key}={value}" for key, value in meta.items()]
+    lines.append(",".join(columns))
+    lines += [",".join(_fmt(v, raw) for v in row) for row in rows]
+    lines += [f"# summary {key}={value}" for key, value in (summary or {}).items()]
+    return "\n".join(lines) + "\n"
+
+
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _write(path: str | None, text: str) -> None:
+    """The one writer of output text: to ``path``, or to stdout without one."""
+    if path:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _emit(args, meta: dict, columns: list[str], rows: list[list[float]],
           summary: dict | None = None) -> None:
-    raw = getattr(args, "raw", False)
     if args.format == "json":
         payload = {"metadata": meta, "columns": columns, "data": rows}
         if summary is not None:
             payload["summary"] = summary
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = _json(payload)
     else:
-        lines = _meta_lines(meta)
-        lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(_fmt(v, raw) for v in row))
-        if summary is not None:
-            for key, value in summary.items():
-                lines.append(f"# summary {key}={value}")
-        text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+        text = _csv(meta, columns, rows, args.raw, summary)
+    _write(args.output, text)
 
 
 def _parse_method(name: str) -> MethodId:
@@ -136,8 +141,7 @@ def _method_curve(method: MethodId, eps: float, n: int, t_max: float | None) -> 
     if method is MethodId.EXACT_QS:
         return exact.exact_curve(eps, n, t_max)
     if method is MethodId.ODE_ORACLE:
-        if eps <= 0 and t_max is None:
-            raise DomainError("t-max", "required for epsilon <= 0")
+        check_grid(eps, n, t_max)
         run = ode.integrate_radius(eps, t_end=t_max, config=_ode_config())
         t_end = min(run.t_end, t_max) if t_max is not None else run.t_end
         times = np.linspace(0.0, math.sqrt(t_end), n) ** 2
@@ -147,31 +151,28 @@ def _method_curve(method: MethodId, eps: float, n: int, t_max: float | None) -> 
     return approx.approx_curve(method, eps, n, t_max)
 
 
-def _base_meta(args, **extra) -> dict:
-    meta = {"generator": f"spherediss {__version__}"}
-    meta.update(extra)
-    return meta
+def _base_meta(**extra) -> dict:
+    return {"generator": f"spherediss {__version__}", **extra}
 
 
 def _cmd_curve(args) -> None:
     method = _parse_method(args.method)
     curve = _method_curve(method, args.epsilon, args.samples, args.t_max)
-    meta = _base_meta(args, epsilon=args.epsilon, method=method.value,
-                      samples=args.samples)
+    meta = _base_meta(epsilon=args.epsilon, method=method.value, samples=args.samples)
     rows = [[t, r] for t, r in zip(curve.times, curve.radii)]
     _emit(args, meta, ["t", method.value], rows)
 
 
 def _cmd_invert(args) -> None:
     radius = exact.radius_at(args.epsilon, args.t)
-    meta = _base_meta(args, epsilon=args.epsilon)
+    meta = _base_meta(epsilon=args.epsilon)
     _emit(args, meta, ["t", "R"], [[args.t, radius]])
 
 
 def _cmd_t0_table(args) -> None:
     epsilons = _parse_float_list(args.epsilons, "epsilons")
     rows = t0_table(epsilons)
-    meta = _base_meta(args)
+    meta = _base_meta()
     raw = args.raw
 
     def err(value: float) -> float:
@@ -192,23 +193,18 @@ def _cmd_compare(args) -> None:
     if not methods:
         raise DomainError("methods", "need at least one method")
     n = args.samples
+    check_grid(eps, n, args.t_max)
 
-    finite_ends = []
-    for method in methods:
-        if eps > 0 and method is not MethodId.PDE_REFERENCE:
-            finite_ends.append(
-                exact.time_to_dissolution(eps)
-                if method in (MethodId.EXACT_QS, MethodId.ODE_ORACLE)
-                else approx.approx_t0(method, eps)
-            )
+    # the grid ends at --t-max or at the earliest dissolution time, whichever comes first
+    ends = [] if args.t_max is None else [args.t_max]
     if eps > 0:
-        t_end = min(finite_ends) if finite_ends else exact.time_to_dissolution(eps)
-        if args.t_max is not None:
-            t_end = min(t_end, args.t_max)
-    else:
-        if args.t_max is None:
-            raise DomainError("t-max", "required for epsilon <= 0")
-        t_end = args.t_max
+        ends += [
+            exact.time_to_dissolution(eps)
+            if method in (MethodId.EXACT_QS, MethodId.ODE_ORACLE)
+            else approx.approx_t0(method, eps)
+            for method in methods if method is not MethodId.PDE_REFERENCE
+        ] or [exact.time_to_dissolution(eps)]
+    t_end = min(ends)
 
     times = np.linspace(math.sqrt(t_end) / n, math.sqrt(t_end), n) ** 2
     exact_values = np.array([exact.radius_at(eps, t) for t in times])
@@ -230,8 +226,7 @@ def _cmd_compare(args) -> None:
                 result = pde.solve_moving_boundary(
                     eps,
                     args.rho_ratio,
-                    pde.PdeConfig(t_end=float(times[-1]) * 1.0000001, min_radius=0.02,
-                                  rel_tol=_env_float("PDE_RTOL"), abs_tol=_env_float("PDE_ATOL")),
+                    _pde_config(t_end=float(times[-1]) * 1.0000001, min_radius=0.02),
                 )
                 pde_t, pde_r = result.curve.times, result.curve.radii
                 values = np.where(
@@ -252,8 +247,7 @@ def _cmd_compare(args) -> None:
             float(np.sqrt(np.mean(deviation**2))) if deviation.size else math.nan
         )
 
-    meta = _base_meta(args, epsilon=eps, methods=",".join(m.value for m in methods),
-                      samples=n)
+    meta = _base_meta(epsilon=eps, methods=",".join(m.value for m in methods), samples=n)
     header = ["t"] + [m.value for m in methods]
     rows = [
         [times[i]] + [float(columns[m.value][i]) for m in methods]
@@ -263,14 +257,8 @@ def _cmd_compare(args) -> None:
 
 
 def _cmd_pde(args) -> None:
-    config = pde.PdeConfig(
-        nodes=args.nodes,
-        rhat_max=args.rhat_max,
-        t_end=args.t_end,
-        min_radius=args.min_radius,
-        rel_tol=_env_float("PDE_RTOL"),
-        abs_tol=_env_float("PDE_ATOL"),
-    )
+    config = _pde_config(nodes=args.nodes, rhat_max=args.rhat_max, t_end=args.t_end,
+                         min_radius=args.min_radius)
     snapshot_times = _parse_float_list(args.snapshot_times, "snapshot-times") \
         if args.snapshot_times else []
     result = pde.solve_moving_boundary(args.epsilon, args.rho_ratio, config,
@@ -305,19 +293,13 @@ def _cmd_pde(args) -> None:
 
     if args.output:
         rows = [[t, r] for t, r in zip(curve.times, curve.radii)]
-        _emit(args, _base_meta(args, epsilon=args.epsilon, method="pde",
+        _emit(args, _base_meta(epsilon=args.epsilon, method="pde",
                                rho_ratio=args.rho_ratio), ["t", "pde"], rows)
     for index, field in enumerate(result.snapshots):
-        path = f"{args.snapshot_prefix}_{index:03d}.csv"
-        lines = [f"# t={field.t!r}", f"# radius={field.radius!r}",
-                 f"# density_ratio={field.density_ratio!r}", "rhat,C"]
-        lines += [
-            f"{float(x)!r},{float(c)!r}"
-            for x, c in zip(field.rhat, field.concentration)
-        ]
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
-    sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        meta = {"t": field.t, "radius": field.radius, "density_ratio": field.density_ratio}
+        _write(f"{args.snapshot_prefix}_{index:03d}.csv",
+               _csv(meta, ["rhat", "C"], zip(field.rhat, field.concentration), raw=True))
+    _write(None, _json(summary))
 
 
 def _cmd_nondim(args) -> None:
@@ -330,34 +312,19 @@ def _cmd_nondim(args) -> None:
         initial_radius=args.r0,
     )
     problem = model.nondimensionalize(scenario)
-    meta = _base_meta(args)
-    if args.format == "json":
-        payload = {
+    meta = _base_meta()
+    if args.format == "json":  # a flat record, not the columns/data table of _emit
+        _write(args.output, _json({
             "metadata": meta,
             "epsilon": problem.epsilon,
             "regime": problem.regime.value,
             "time_scale_s": problem.time_scale,
             "length_scale_m": problem.length_scale,
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        else:
-            sys.stdout.write(text)
-        return
-    rows = [[problem.epsilon, problem.time_scale, problem.length_scale]]
-    lines = _meta_lines(meta)
-    lines.append("epsilon,time_scale_s,length_scale_m,regime")
-    lines.append(
-        ",".join(_fmt(v, args.raw) for v in rows[0]) + f",{problem.regime.value}"
-    )
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        }))
     else:
-        sys.stdout.write(text)
+        _emit(args, meta, ["epsilon", "time_scale_s", "length_scale_m", "regime"],
+              [[problem.epsilon, problem.time_scale, problem.length_scale,
+                problem.regime.value]])
 
 
 def _parse_float_list(raw: str, param: str) -> list[float]:
@@ -376,7 +343,8 @@ def _parse_float_list(raw: str, param: str) -> list[float]:
 
 
 def _add_output_options(sub) -> None:
-    sub.add_argument("--output", help="write to this path instead of stdout")
+    sub.add_argument("--output",
+                     help="write to this path instead of stdout (pde: its R(t) curve)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--raw", action="store_true",
                      help="full float precision instead of 6 significant digits")
@@ -423,16 +391,15 @@ def _build_parser() -> argparse.ArgumentParser:
     pde_cmd = subparsers.add_parser("pde", help="moving-boundary reference solve")
     pde_cmd.add_argument("--epsilon", type=float, required=True)
     pde_cmd.add_argument("--rho-ratio", type=float, required=True, dest="rho_ratio")
-    pde_cmd.add_argument("--nodes", type=int, default=241)
+    pde_cmd.add_argument("--nodes", type=int, default=pde.PdeConfig.nodes)
     pde_cmd.add_argument("--rhat-max", type=float, default=None, dest="rhat_max")
     pde_cmd.add_argument("--t-end", type=float, default=None, dest="t_end")
-    pde_cmd.add_argument("--min-radius", type=float, default=0.05, dest="min_radius")
+    pde_cmd.add_argument("--min-radius", type=float, default=pde.PdeConfig.min_radius,
+                         dest="min_radius")
     pde_cmd.add_argument("--snapshot-times", default=None, dest="snapshot_times",
                          help="comma-separated times; one CSV per snapshot")
     pde_cmd.add_argument("--snapshot-prefix", default="snapshot", dest="snapshot_prefix")
-    pde_cmd.add_argument("--output", help="write the R(t) curve CSV to this path")
-    pde_cmd.add_argument("--format", choices=("csv", "json"), default="csv")
-    pde_cmd.add_argument("--raw", action="store_true")
+    _add_output_options(pde_cmd)
     pde_cmd.set_defaults(handler=_cmd_pde)
 
     nondim = subparsers.add_parser("nondim", help="reduce SI parameters to epsilon")
@@ -463,10 +430,6 @@ def main(argv: list[str] | None = None) -> int:
         print(str(exc), file=sys.stderr)
         return 3
     return 0
-
-
-#: Alias matching the operational name used in documentation.
-run_cli = main
 
 
 if __name__ == "__main__":

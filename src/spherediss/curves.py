@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping
 
 import numpy as np
+
+from .errors import DomainError
 
 # Allowance for integrator noise when validating sample monotonicity.
 _MONOTONE_SLACK = 1e-7
@@ -35,6 +38,22 @@ class MethodId(enum.Enum):
                 return member
         valid = ", ".join(m.value for m in cls)
         raise ValueError(f"unknown method {name!r}; valid methods: {valid}")
+
+
+def check_grid(eps: float, n: int, t_max: float | None) -> None:
+    """Refuse a sampling request that cannot give a curve of ``n`` >= 2 points.
+
+    ``t_max``, if given, must be finite and positive; for eps <= 0 nothing ends
+    the history, so it is required.
+    """
+    if not isinstance(n, int) or n < 2:
+        raise DomainError("n", f"need at least 2 samples, got {n!r}")
+    if not math.isfinite(eps):
+        raise DomainError("epsilon", "must be finite")
+    if t_max is not None and (not math.isfinite(t_max) or t_max <= 0):
+        raise DomainError("t_max", f"must be positive, got {t_max!r}")
+    if eps <= 0 and t_max is None:
+        raise DomainError("t_max", "required for epsilon <= 0 (no finite endpoint)")
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .curves import MethodId, RadiusCurve
+from .curves import MethodId, RadiusCurve, check_grid
 from .errors import DomainError, PastDissolutionError
 from .model import Regime, branch_exponent, classify_regime
 
@@ -313,15 +313,7 @@ def exact_curve(eps: float, n: int = 256, t_max: float | None = None) -> RadiusC
     grid is log-spaced in the offset from the branch's lower bound, which
     resolves both the t -> 0 and the R -> 0 ends.
     """
-    if not isinstance(n, int) or n < 2:
-        raise DomainError("n", f"need at least 2 samples, got {n!r}")
-    if not math.isfinite(eps):
-        raise DomainError("epsilon", "must be finite")
-    if t_max is not None and (not math.isfinite(t_max) or t_max <= 0):
-        raise DomainError("t_max", f"must be positive, got {t_max!r}")
-    if eps <= 0 and t_max is None:
-        raise DomainError("t_max", "required for epsilon <= 0 (no finite endpoint)")
-
+    check_grid(eps, n, t_max)
     metadata = {"samples": n, "parameter_grid": "geometric", "t_max": t_max}
     if eps == 0:
         times = np.linspace(0.0, t_max, n)

@@ -51,6 +51,9 @@ MAX_PRINCIPLE_TOL = 1e-6
 #: Startup profile is resolved with this many cells per e-folding width.
 _CELLS_PER_WIDTH = 5.0
 
+#: The mesh must reproduce the startup surface flux to this relative error.
+_MAX_FLUX_MISMATCH = 0.05
+
 
 @dataclass(frozen=True)
 class PdeConfig:
@@ -70,7 +73,6 @@ class PdeConfig:
     t_init: float = 1e-6
     min_radius: float = 0.05
     t_end: float | None = None
-    max_flux_mismatch: float = 0.05
 
     def __post_init__(self):
         if not isinstance(self.nodes, int) or self.nodes < 100:
@@ -89,8 +91,6 @@ class PdeConfig:
             raise DomainError("min_radius", f"must lie in (0, 1), got {self.min_radius!r}")
         if self.t_end is not None and (not math.isfinite(self.t_end) or self.t_end <= self.t_init):
             raise DomainError("t_end", f"must exceed t_init={self.t_init!r}, got {self.t_end!r}")
-        if not 0.0 < self.max_flux_mismatch <= 0.5:
-            raise DomainError("max_flux_mismatch", "must lie in (0, 0.5]")
 
 
 @dataclass(frozen=True)
@@ -318,12 +318,12 @@ def solve_moving_boundary(
     d0, d1, d2 = _surface_flux_weights(x)
     flux0 = d0 * w0[0] + d1 * w0[1] + d2 * w0[2]
     flux_exact = -r_init / math.sqrt(t_init)
-    if abs(flux0 - flux_exact) > config.max_flux_mismatch * abs(flux_exact):
+    if abs(flux0 - flux_exact) > _MAX_FLUX_MISMATCH * abs(flux_exact):
         raise DomainError(
             "nodes",
             f"mesh too coarse: startup surface flux off by "
             f"{100 * abs(flux0 / flux_exact - 1):.1f}% "
-            f"(> {100 * config.max_flux_mismatch:.0f}%); increase nodes or t_init",
+            f"(> {100 * _MAX_FLUX_MISMATCH:.0f}%); increase nodes or t_init",
         )
 
     rhs, jac = _mapped_system(x, eps, beta)

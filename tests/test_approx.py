@@ -19,6 +19,7 @@ from spherediss import (
     blended_t0,
     duda_radius,
     duda_t0,
+    exact_curve,
     intuitive_radius,
     intuitive_t0,
     qss_radius,
@@ -242,6 +243,21 @@ class TestApproxCurve:
             approx_curve(MethodId.QSS, -0.1, 50)
         curve = approx_curve(MethodId.QSS, -0.1, 50, t_max=10.0)
         assert curve.radii[-1] == pytest.approx(math.sqrt(3.0), rel=1e-12)
+
+    @pytest.mark.parametrize("t_max", [math.nan, 0.0, -1.0, math.inf])
+    def test_bad_t_max_is_refused_like_exact_curve(self, t_max):
+        # min(t0, nan) would drop a nan silently, and 0 would reach RadiusCurve
+        for sampler in (lambda: approx_curve(MethodId.QSS, 0.1, 4, t_max=t_max),
+                        lambda: exact_curve(0.1, 4, t_max=t_max)):
+            with pytest.raises(DomainError) as info:
+                sampler()
+            assert info.value.param == "t_max"
+
+    @pytest.mark.parametrize("n", [0, 1, -3, 4.0])
+    def test_bad_sample_count_is_refused(self, n):
+        with pytest.raises(DomainError) as info:
+            approx_curve(MethodId.QSS, 0.1, n)
+        assert info.value.param == "n"
 
     def test_exact_method_not_dispatched_here(self):
         with pytest.raises(DomainError):

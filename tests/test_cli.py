@@ -165,6 +165,34 @@ class TestCompare:
             pytest.fail("missing pde summary line")
 
 
+class TestGridArguments:
+    """Every sampled path refuses a grid it cannot build, with exit code 3."""
+
+    COMPARE = ("compare", "--epsilon", "0.1", "--methods", "exact,qss")
+
+    @pytest.mark.parametrize(
+        "argv, param",
+        [
+            (("curve", "--epsilon", "0.1", "--method", "ode", "--samples", "0"), "n"),
+            (("curve", "--epsilon", "0.1", "--method", "ode", "--samples", "1"), "n"),
+            (COMPARE + ("--samples", "0"), "n"),
+            (COMPARE + ("--samples", "-3"), "n"),
+            (COMPARE + ("--t-max", "-1"), "t_max"),
+            (COMPARE + ("--t-max", "nan"), "t_max"),
+            (("compare", "--epsilon", "-0.01", "--methods", "exact,qss"), "t_max"),
+            (("curve", "--epsilon", "0.1", "--method", "qss", "--t-max", "0"), "t_max"),
+            (("curve", "--epsilon", "0.1", "--method", "qss", "--t-max", "inf"), "t_max"),
+            (("curve", "--epsilon", "0.1", "--method", "qss", "--t-max", "nan"), "t_max"),
+            (("curve", "--epsilon", "-0.1", "--method", "ode"), "t_max"),
+        ],
+    )
+    def test_bad_grid_is_exit_3(self, capsys, argv, param):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"{param}:")
+
+
 class TestOutputModes:
     def test_determinism(self, capsys):
         args = ("t0-table", "--epsilons", "0.1,0.01")
@@ -323,6 +351,11 @@ with contextlib.redirect_stdout(io.StringIO()):
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "cli_golden.json")
 with open(GOLDEN_PATH, encoding="utf-8") as _handle:
     GOLDEN_CASES = json.load(_handle)
+# stdout and written files of JSON, --raw, --output and pde commands; "{tmp}" in an
+# argument stands for a fresh directory
+with open(os.path.join(os.path.dirname(GOLDEN_PATH), "cli_golden_files.json"),
+          encoding="utf-8") as _handle:
+    GOLDEN_FILE_CASES = json.load(_handle)
 
 
 def split_summary(text):
@@ -349,6 +382,10 @@ class TestGoldenOutput:
     its interpolant's rounding noise at the floor crossing (R ~ 1e-8), so
     only that row's time is compared; the radius is pinned by
     ``test_ode_curve_to_extinction_ends_at_the_floor``.
+
+    ``tests/data/cli_golden_files.json`` holds the JSON, ``--raw`` and
+    ``--output`` variants and short ``pde`` runs; their stdout and every file
+    they write are compared byte for byte.
     """
 
     @pytest.mark.parametrize(
@@ -367,6 +404,22 @@ class TestGoldenOutput:
         assert summary.keys() == golden_summary.keys()
         for key, value in golden_summary.items():
             assert summary[key] == pytest.approx(value, rel=0, abs=1e-9), key
+
+    @pytest.mark.parametrize(
+        "case", GOLDEN_FILE_CASES, ids=lambda case: "_".join(
+            a.lstrip("-") for a in case["argv"] if not a.startswith("{tmp}"))
+    )
+    def test_matches_golden_files(self, capsys, tmp_path, case):
+        # JSON, --raw, --output, the pde summary, curve file and snapshot files: stdout
+        # and every file written match byte for byte, and no other file is written.
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in case["argv"]]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert out == case["stdout"]
+        written = {path.name: path.read_text(encoding="utf-8") for path in tmp_path.iterdir()}
+        assert written.keys() == case["files"].keys()
+        for name, text in case["files"].items():
+            assert written[name] == text, name
 
     @pytest.mark.parametrize("eps", [0.1, 1.5])
     def test_ode_curve_to_extinction_ends_at_the_floor(self, capsys, eps):
