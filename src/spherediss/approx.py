@@ -11,6 +11,12 @@ Every closed form here is an algebraic function of sqrt(t):
 The blended weight alpha(eps) is a semi-empirical fit valid only for
 -0.5 <= eps <= 0.5; outside that range it is refused unless extrapolation
 is explicitly requested.
+
+Each formula is evaluated in one place, ``approx_radius``, for one float or
+an array of times; the per-method wrappers and ``approx_curve`` call it.
+For eps > 0 qss, intuitive and duda refuse a time past their t0, while
+small-time and blended clamp the radius to 0 there: with a
+``ClampedRadiusWarning`` for a float, silently for an array.
 """
 
 from __future__ import annotations
@@ -39,11 +45,6 @@ FIT_RANGE = (-0.5, 0.5)
 #: first radicand zero (the scan is uniform in sqrt(t)).
 _BLEND_SCAN_POINTS = 4096
 _BLEND_T0_REL_TOL = 1e-12
-
-
-def _check_time(t: float) -> None:
-    if not math.isfinite(t) or t < 0:
-        raise DomainError("t", f"must be a non-negative finite time, got {t!r}")
 
 
 def _check_eps(eps: float, nonzero: bool = False) -> None:
@@ -75,29 +76,14 @@ _FORMULAS = {
 }
 
 
-def _checked(method: MethodId, eps: float, t: float) -> float:
-    """One unweighted formula at one time, after its domain checks: times past
-    its t0 raise, except for the short-time form, which clamps to 0 and warns."""
-    _check_eps(eps, nonzero=method in (MethodId.INTUITIVE, MethodId.DUDA_VRENTAS))
-    _check_time(t)
-    if method is MethodId.SMALL_TIME:
-        if 2.0 * eps * math.sqrt(t) > 1.0:
-            warn_clamped("small-time", t)
-    elif eps > 0:
-        t0 = _T0_DISPATCH[method](eps)
-        if t > t0 * (1.0 + 1e-12):
-            raise PastDissolutionError(t, t0, method.value)
-    return _FORMULAS[method](eps, t, FLOAT_OPS)
-
-
 def qss_radius(eps: float, t: float) -> float:
     """Quasi-steady-state radius sqrt(1 - 2 eps t)."""
-    return _checked(MethodId.QSS, eps, t)
+    return _radius(MethodId.QSS, eps, t)
 
 
 def small_time_radius(eps: float, t: float) -> float:
     """Short-time radius 1 - 2 eps sqrt(t); negative values clamp to 0."""
-    return _checked(MethodId.SMALL_TIME, eps, t)
+    return _radius(MethodId.SMALL_TIME, eps, t)
 
 
 def intuitive_t0(eps: float) -> float:
@@ -110,7 +96,7 @@ def intuitive_t0(eps: float) -> float:
 
 def intuitive_radius(eps: float, t: float) -> float:
     """Combined-flux radius sqrt(1 - 2 eps t) - 2 eps sqrt(t)."""
-    return _checked(MethodId.INTUITIVE, eps, t)
+    return _radius(MethodId.INTUITIVE, eps, t)
 
 
 def duda_t0(eps: float) -> float:
@@ -123,7 +109,7 @@ def duda_t0(eps: float) -> float:
 
 def duda_radius(eps: float, t: float) -> float:
     """Boundary-fitted closed-form radius sqrt(1 - 2 eps (2 sqrt(t) + t))."""
-    return _checked(MethodId.DUDA_VRENTAS, eps, t)
+    return _radius(MethodId.DUDA_VRENTAS, eps, t)
 
 
 @dataclass(frozen=True)
@@ -138,22 +124,6 @@ class BlendWeight:
             raise DomainError("alpha", f"must lie in [0, 1], got {self.alpha!r}")
 
 
-def _check_fit_range(eps: float, allow_extrapolation: bool) -> None:
-    _check_eps(eps, nonzero=True)
-    if FIT_RANGE[0] <= eps <= FIT_RANGE[1]:
-        return
-    if not allow_extrapolation:
-        raise EpsilonRangeError(
-            f"blended fit covers {FIT_RANGE[0]} <= epsilon <= {FIT_RANGE[1]} (got {eps:g}); "
-            "pass allow_extrapolation=True to override"
-        )
-    warnings.warn(
-        f"extrapolating the blended fit to epsilon={eps:g} outside {FIT_RANGE}",
-        ExtrapolationWarning,
-        stacklevel=3,
-    )
-
-
 def blend_alpha(eps: float, allow_extrapolation: bool = False) -> BlendWeight:
     """Semi-empirical blending weight between the two explicit closed forms.
 
@@ -161,7 +131,18 @@ def blend_alpha(eps: float, allow_extrapolation: bool = False) -> BlendWeight:
     log10(eps) on 0.1 <= eps <= 0.5 (inclusive at both ends), and a rational
     form in |eps| on -0.5 <= eps < 0.
     """
-    _check_fit_range(eps, allow_extrapolation)
+    _check_eps(eps, nonzero=True)
+    if not FIT_RANGE[0] <= eps <= FIT_RANGE[1]:
+        if not allow_extrapolation:
+            raise EpsilonRangeError(
+                f"blended fit covers {FIT_RANGE[0]} <= epsilon <= {FIT_RANGE[1]} (got {eps:g}); "
+                "pass allow_extrapolation=True to override"
+            )
+        warnings.warn(
+            f"extrapolating the blended fit to epsilon={eps:g} outside {FIT_RANGE}",
+            ExtrapolationWarning,
+            stacklevel=2,
+        )
     if eps < 0:
         alpha = 0.5381 * (1.0 - 0.3 / (1.0 + abs(eps) ** (-0.6514)))
         domain = (-0.5, 0.0)
@@ -188,10 +169,9 @@ def blended_t0(eps: float, allow_extrapolation: bool = False) -> float:
     Located by a sign-change scan uniform in sqrt(t) over [0, 1/(2 eps)]
     followed by bisection.
     """
-    _check_fit_range(eps, allow_extrapolation)
+    alpha = blend_alpha(eps, allow_extrapolation).alpha
     if eps <= 0:
         raise DomainError("epsilon", "dissolution never completes for epsilon <= 0")
-    alpha = blend_alpha(eps, allow_extrapolation).alpha
     t_cap = 0.5 / eps
     roots = np.linspace(0.0, math.sqrt(t_cap), _BLEND_SCAN_POINTS + 1)
     crossed = np.flatnonzero(_blend_radicand(eps, alpha, roots[1:] ** 2, ARRAY_OPS) <= 0.0)
@@ -215,14 +195,7 @@ def blended_radius(eps: float, t: float, allow_extrapolation: bool = False) -> f
     onwards (the radicand can become positive again later, which has no
     physical meaning past complete dissolution).
     """
-    _check_fit_range(eps, allow_extrapolation)
-    _check_time(t)
-    alpha = blend_alpha(eps, allow_extrapolation).alpha
-    if eps > 0 and t >= blended_t0(eps, allow_extrapolation):
-        if t > 0.0:
-            warn_clamped("blended", t)
-        return 0.0
-    return math.sqrt(max(_blend_radicand(eps, alpha, t), 0.0))
+    return _radius(MethodId.BLENDED, eps, t, allow_extrapolation)
 
 
 #: Methods with a closed-form (or root-findable) dissolution time.
@@ -232,7 +205,7 @@ _T0_DISPATCH = {
     MethodId.SMALL_TIME: lambda eps: 0.25 / (eps * eps),
     MethodId.INTUITIVE: intuitive_t0,
     MethodId.DUDA_VRENTAS: duda_t0,
-    MethodId.BLENDED: blended_t0,
+    MethodId.BLENDED: lambda eps: blended_t0(eps, False),  # as _radius calls it: one cache key
 }
 
 
@@ -251,13 +224,48 @@ def approx_t0(method: MethodId, eps: float) -> float:
     return handler(eps)
 
 
-def approx_radius(method: MethodId, eps: float, t: float) -> float:
-    """Evaluate one of the explicit approximations by method id."""
-    if method is MethodId.BLENDED:
-        return blended_radius(eps, t)
-    if method not in _FORMULAS:
+def _radius(method: MethodId, eps: float, t, allow_extrapolation: bool = False):
+    """``approx_radius``, with the blended fit's extrapolation switch: applies the
+    method's epsilon domain, the time checks, its end-time rule and its formula."""
+    formula, blended = _FORMULAS.get(method), method is MethodId.BLENDED
+    if blended:
+        alpha = blend_alpha(eps, allow_extrapolation).alpha
+    elif formula is None:
         raise DomainError("method", f"{method.value!r} is not an explicit approximation")
-    return _checked(method, eps, t)
+    else:
+        _check_eps(eps, nonzero=method in (MethodId.INTUITIVE, MethodId.DUDA_VRENTAS))
+    if isinstance(t, float) or not np.ndim(t):
+        xp, t = FLOAT_OPS, float(t)
+        first = last = t
+    else:
+        xp, t = ARRAY_OPS, np.asarray(t, dtype=float)
+        first, last = float(t.min(initial=0.0)), float(t.max(initial=0.0))
+    if not (first >= 0.0 and math.isfinite(last)):  # both are nan if any time is
+        bad = last if first >= 0.0 else first
+        raise DomainError("t", f"must be a non-negative finite time, got {bad!r}")
+    if blended:
+        past = eps > 0 and t >= blended_t0(eps, allow_extrapolation)
+        if xp is FLOAT_OPS and past:
+            warn_clamped("blended", t)
+        return xp.where(past, 0.0, xp.sqrt(xp.maximum(_blend_radicand(eps, alpha, t, xp), 0.0)))
+    if method is MethodId.SMALL_TIME:
+        if xp is FLOAT_OPS and 2.0 * eps * math.sqrt(t) > 1.0:
+            warn_clamped("small-time", t)
+    elif eps > 0:
+        t0 = _T0_DISPATCH[method](eps)
+        if last > t0 * (1.0 + 1e-12):
+            raise PastDissolutionError(last, t0, method.value)
+    return formula(eps, t, xp)
+
+
+def approx_radius(method: MethodId, eps: float, t):
+    """Evaluate one of the explicit approximations by method id.
+
+    ``t`` is a float or an array of times (which returns an array).  Past
+    t0, small-time and blended clamp to 0, warning for a float and silently
+    for an array; the other formulas raise ``PastDissolutionError``.
+    """
+    return _radius(method, eps, t)
 
 
 def approx_curve(
@@ -269,17 +277,7 @@ def approx_curve(
     short; for eps <= 0 a ``t_max`` is required.
     """
     check_grid(eps, n, t_max)
-    approx_radius(method, eps, 0.0)  # refuses other methods and epsilon outside the formula's domain
-    t_end = approx_t0(method, eps) if eps > 0 else t_max
-    if t_max is not None:
-        t_end = min(t_end, t_max)
-    _check_time(t_end)
+    t_end = min(approx_t0(method, eps), t_max or math.inf) if eps > 0 else t_max
     times = np.linspace(0.0, math.sqrt(t_end), n) ** 2
-    if method is MethodId.BLENDED:
-        radii = np.sqrt(np.maximum(
-            _blend_radicand(eps, blend_alpha(eps).alpha, times, ARRAY_OPS), 0.0))
-        if eps > 0:
-            radii[times >= blended_t0(eps)] = 0.0
-    else:
-        radii = _FORMULAS[method](eps, times, ARRAY_OPS)
-    return RadiusCurve(method, eps, times, radii, {"samples": n, "t_max": t_max})
+    return RadiusCurve(method, eps, times, approx_radius(method, eps, times),
+                       {"samples": n, "t_max": t_max})

@@ -9,7 +9,9 @@ prints its JSON summary on stdout; its ``--output`` curve follows
 always full-precision CSV.  Each ``SPHEREDISS_*`` tolerance variable, when
 unset, falls back to the solver config's own default.  Exit codes: 0
 success, 2 argument error, 3 domain error (a value outside some formula's
-validity range), with a one-line ``argument: message`` diagnostic on stderr.
+validity range), with a one-line ``argument: message`` diagnostic on stderr;
+an ``--output`` or ``--snapshot-prefix`` path that cannot be written is an
+argument error.
 """
 
 from __future__ import annotations
@@ -19,14 +21,13 @@ import json
 import math
 import os
 import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__, approx, exact, model, ode, pde
 from .curves import MethodId, RadiusCurve, check_grid
-from .errors import ClampedRadiusWarning, DomainError
+from .errors import DomainError
 
 _ENV_PREFIX = "SPHEREDISS_"
 
@@ -109,13 +110,20 @@ def _json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _write(path: str | None, text: str) -> None:
+class _PathError(Exception):
+    """An output path that cannot be written: an argument error, exit code 2."""
+
+
+def _write(path: str | None, text: str, param: str = "output") -> None:
     """The one writer of output text: to ``path``, or to stdout without one."""
-    if path:
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise _PathError(f"{param}: cannot write {path!r}: {exc.strerror or exc}") from None
 
 
 def _emit(args, meta: dict, columns: list[str], rows: list[list[float]],
@@ -199,44 +207,40 @@ def _cmd_compare(args) -> None:
     ends = [] if args.t_max is None else [args.t_max]
     if eps > 0:
         ends += [
-            exact.time_to_dissolution(eps)
-            if method in (MethodId.EXACT_QS, MethodId.ODE_ORACLE)
-            else approx.approx_t0(method, eps)
+            approx.approx_t0(MethodId.EXACT_QS if method is MethodId.ODE_ORACLE else method, eps)
             for method in methods if method is not MethodId.PDE_REFERENCE
-        ] or [exact.time_to_dissolution(eps)]
+        ] or [approx.approx_t0(MethodId.EXACT_QS, eps)]
     t_end = min(ends)
 
     times = np.linspace(math.sqrt(t_end) / n, math.sqrt(t_end), n) ** 2
     exact_values = np.array([exact.radius_at(eps, t) for t in times])
 
     columns: dict[str, np.ndarray] = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ClampedRadiusWarning)
-        for method in methods:
-            if method is MethodId.EXACT_QS:
-                values = exact_values
-            elif method is MethodId.ODE_ORACLE:
-                run = ode.integrate_radius(
-                    eps,
-                    t_end=None if eps > 0 else float(times[-1]),
-                    config=_ode_config(),
-                )
-                values = run.radius_at(times)
-            elif method is MethodId.PDE_REFERENCE:
-                result = pde.solve_moving_boundary(
-                    eps,
-                    args.rho_ratio,
-                    _pde_config(t_end=float(times[-1]) * 1.0000001, min_radius=0.02),
-                )
-                pde_t, pde_r = result.curve.times, result.curve.radii
-                values = np.where(
-                    times <= pde_t[-1],
-                    np.interp(times, pde_t, pde_r),
-                    np.nan,
-                )
-            else:
-                values = np.array([approx.approx_radius(method, eps, t) for t in times])
-            columns[method.value] = values
+    for method in methods:
+        if method is MethodId.EXACT_QS:
+            values = exact_values
+        elif method is MethodId.ODE_ORACLE:
+            run = ode.integrate_radius(
+                eps,
+                t_end=None if eps > 0 else float(times[-1]),
+                config=_ode_config(),
+            )
+            values = run.radius_at(times)
+        elif method is MethodId.PDE_REFERENCE:
+            result = pde.solve_moving_boundary(
+                eps,
+                args.rho_ratio,
+                _pde_config(t_end=float(times[-1]) * 1.0000001, min_radius=0.02),
+            )
+            pde_t, pde_r = result.curve.times, result.curve.radii
+            values = np.where(
+                times <= pde_t[-1],
+                np.interp(times, pde_t, pde_r),
+                np.nan,
+            )
+        else:
+            values = approx.approx_radius(method, eps, times)
+        columns[method.value] = values
 
     summary = {}
     for name, values in columns.items():
@@ -298,7 +302,8 @@ def _cmd_pde(args) -> None:
     for index, field in enumerate(result.snapshots):
         meta = {"t": field.t, "radius": field.radius, "density_ratio": field.density_ratio}
         _write(f"{args.snapshot_prefix}_{index:03d}.csv",
-               _csv(meta, ["rhat", "C"], zip(field.rhat, field.concentration), raw=True))
+               _csv(meta, ["rhat", "C"], zip(field.rhat, field.concentration), raw=True),
+               "snapshot-prefix")
     _write(None, _json(summary))
 
 
@@ -426,6 +431,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         args.handler(args)
+    except _PathError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     except DomainError as exc:
         print(str(exc), file=sys.stderr)
         return 3

@@ -11,6 +11,10 @@ import numpy as np
 
 from .errors import DomainError
 
+#: Most samples one curve may ask for.  ``compare`` still fills its exact
+#: column point by point, so a grid much larger than this runs for minutes.
+MAX_SAMPLES = 10**6
+
 # Allowance for integrator noise when validating sample monotonicity.
 _MONOTONE_SLACK = 1e-7
 
@@ -41,13 +45,16 @@ class MethodId(enum.Enum):
 
 
 def check_grid(eps: float, n: int, t_max: float | None) -> None:
-    """Refuse a sampling request that cannot give a curve of ``n`` >= 2 points.
+    """Refuse a sampling request that cannot give a curve of ``n`` >= 2 points,
+    or that asks for more than ``MAX_SAMPLES``.
 
     ``t_max``, if given, must be finite and positive; for eps <= 0 nothing ends
     the history, so it is required.
     """
     if not isinstance(n, int) or n < 2:
         raise DomainError("n", f"need at least 2 samples, got {n!r}")
+    if n > MAX_SAMPLES:
+        raise DomainError("n", f"at most {MAX_SAMPLES} samples, got {n}")
     if not math.isfinite(eps):
         raise DomainError("epsilon", "must be finite")
     if t_max is not None and (not math.isfinite(t_max) or t_max <= 0):

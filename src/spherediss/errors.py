@@ -62,8 +62,9 @@ class ExtrapolationWarning(UserWarning):
 
 
 def warn_clamped(method: str, t: float) -> None:
+    # attributed to the caller of the public function that evaluated the formula
     warnings.warn(
         f"{method}: radius clamped to 0 at t={t:g} (past complete dissolution)",
         ClampedRadiusWarning,
-        stacklevel=3,
+        stacklevel=4,
     )

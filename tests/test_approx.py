@@ -253,7 +253,7 @@ class TestApproxCurve:
                 sampler()
             assert info.value.param == "t_max"
 
-    @pytest.mark.parametrize("n", [0, 1, -3, 4.0])
+    @pytest.mark.parametrize("n", [0, 1, -3, 4.0, 10**6 + 1])
     def test_bad_sample_count_is_refused(self, n):
         with pytest.raises(DomainError) as info:
             approx_curve(MethodId.QSS, 0.1, n)
@@ -279,3 +279,42 @@ class TestApproxCurve:
             warnings.simplefilter("ignore", ClampedRadiusWarning)
             loop = [approx_radius(method, eps, t) for t in curve.times]
         assert curve.radii.tolist() == loop
+        assert approx_radius(method, eps, curve.times).tolist() == loop
+
+
+EXPLICIT_METHODS = [MethodId.QSS, MethodId.SMALL_TIME, MethodId.INTUITIVE,
+                    MethodId.DUDA_VRENTAS, MethodId.BLENDED]
+
+
+class TestArrayTimes:
+    """An array of times is checked element by element, as a float is."""
+
+    @pytest.mark.parametrize("method", EXPLICIT_METHODS)
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
+    def test_bad_time_inside_array_is_refused(self, method, bad):
+        with pytest.raises(DomainError) as info:
+            approx_radius(method, 0.3, np.array([0.0, bad, 0.1]))
+        assert info.value.param == "t"
+
+    @pytest.mark.parametrize("method", [MethodId.QSS, MethodId.INTUITIVE, MethodId.DUDA_VRENTAS])
+    def test_time_past_t0_inside_array_raises(self, method):
+        t0 = approx_t0(method, 0.1)
+        with pytest.raises(PastDissolutionError) as info:
+            approx_radius(method, 0.1, np.array([0.0, 1.01 * t0, 0.5 * t0]))
+        assert info.value.t0 == t0
+
+    @pytest.mark.parametrize("method", [MethodId.SMALL_TIME, MethodId.BLENDED])
+    def test_array_past_t0_clamps_without_warning(self, method):
+        t0 = approx_t0(method, 0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            radii = approx_radius(method, 0.3, np.array([0.5 * t0, 1.5 * t0, 2.0 * t0]))
+        assert radii[0] > 0.0
+        assert radii[1:].tolist() == [0.0, 0.0]
+        with pytest.warns(ClampedRadiusWarning):  # a float past t0 still warns
+            assert approx_radius(method, 0.3, 1.5 * t0) == 0.0
+
+    def test_ode_oracle_refuses_arrays(self):
+        with pytest.raises(DomainError) as info:
+            approx_radius(MethodId.ODE_ORACLE, 0.1, np.array([0.0, 1.0]))
+        assert info.value.param == "method"

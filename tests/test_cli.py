@@ -184,6 +184,7 @@ class TestGridArguments:
             (("curve", "--epsilon", "0.1", "--method", "qss", "--t-max", "inf"), "t_max"),
             (("curve", "--epsilon", "0.1", "--method", "qss", "--t-max", "nan"), "t_max"),
             (("curve", "--epsilon", "-0.1", "--method", "ode"), "t_max"),
+            (COMPARE + ("--samples", "1000001"), "n"),
         ],
     )
     def test_bad_grid_is_exit_3(self, capsys, argv, param):
@@ -191,6 +192,24 @@ class TestGridArguments:
         assert code == 3
         assert out == ""
         assert err.startswith(f"{param}:")
+
+
+@pytest.mark.parametrize(
+    "argv, param",
+    [
+        (("curve", "--epsilon", "0.1", "--samples", "8", "--output", "{missing}/curve.csv"),
+         "output"),
+        (("pde", "--epsilon", "0.1", "--rho-ratio", "1.0", "--t-end", "0.1",
+          "--snapshot-times", "0.05", "--snapshot-prefix", "{missing}/snap"), "snapshot-prefix"),
+    ],
+)
+def test_unwritable_path_is_exit_2(capsys, tmp_path, argv, param):
+    # a path that cannot be opened is an argument error, with a one-line diagnostic
+    missing = str(tmp_path / "missing")
+    code, out, err = run_cli(capsys, *(a.replace("{missing}", missing) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"{param}: ") and err.count("\n") == 1
 
 
 class TestOutputModes:
@@ -416,6 +435,7 @@ class TestGoldenOutput:
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, err
         assert out == case["stdout"]
+        assert err == ""
         written = {path.name: path.read_text(encoding="utf-8") for path in tmp_path.iterdir()}
         assert written.keys() == case["files"].keys()
         for name, text in case["files"].items():
