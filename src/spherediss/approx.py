@@ -173,6 +173,9 @@ def blended_t0(eps: float, allow_extrapolation: bool = False) -> float:
     if eps <= 0:
         raise DomainError("epsilon", "dissolution never completes for epsilon <= 0")
     t_cap = 0.5 / eps
+    if math.isinf(t_cap):
+        raise DomainError("epsilon", f"{eps!r} is too small: the blended dissolution time "
+                                     "overflows")
     roots = np.linspace(0.0, math.sqrt(t_cap), _BLEND_SCAN_POINTS + 1)
     crossed = np.flatnonzero(_blend_radicand(eps, alpha, roots[1:] ** 2, ARRAY_OPS) <= 0.0)
     if crossed.size == 0:
@@ -221,7 +224,14 @@ def approx_t0(method: MethodId, eps: float) -> float:
             "method",
             f"{method.value!r} has no closed-form dissolution time; run its solver directly",
         ) from None
-    return handler(eps)
+    try:
+        t0 = handler(eps)
+    except ZeroDivisionError:  # small-time's eps * eps underflows to 0
+        t0 = math.inf
+    if math.isinf(t0):
+        raise DomainError("epsilon", f"{eps!r} is too small: the {method.value} dissolution "
+                                     "time overflows")
+    return t0
 
 
 def _radius(method: MethodId, eps: float, t, allow_extrapolation: bool = False):

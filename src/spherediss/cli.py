@@ -203,13 +203,14 @@ def _cmd_compare(args) -> None:
     n = args.samples
     check_grid(eps, n, args.t_max)
 
-    # the grid ends at --t-max or at the earliest dissolution time, whichever comes first
+    # the grid ends at --t-max or at the earliest dissolution time, whichever comes first;
+    # the exact column is always filled, so the exact t0 is one of them
     ends = [] if args.t_max is None else [args.t_max]
     if eps > 0:
-        ends += [
-            approx.approx_t0(MethodId.EXACT_QS if method is MethodId.ODE_ORACLE else method, eps)
-            for method in methods if method is not MethodId.PDE_REFERENCE
-        ] or [approx.approx_t0(MethodId.EXACT_QS, eps)]
+        ends += [approx.approx_t0(MethodId.EXACT_QS, eps)] + [
+            approx.approx_t0(method, eps) for method in methods
+            if method not in (MethodId.ODE_ORACLE, MethodId.PDE_REFERENCE)
+        ]
     t_end = min(ends)
 
     times = np.linspace(math.sqrt(t_end) / n, math.sqrt(t_end), n) ** 2
@@ -225,7 +226,9 @@ def _cmd_compare(args) -> None:
                 t_end=None if eps > 0 else float(times[-1]),
                 config=_ode_config(),
             )
-            values = run.radius_at(times)
+            # the run's own t0 may fall short of the exact one the grid ends at: R = 0 there
+            dissolved = run.dissolution_time
+            values = run.radius_at(times if dissolved is None else np.minimum(times, dissolved))
         elif method is MethodId.PDE_REFERENCE:
             result = pde.solve_moving_boundary(
                 eps,

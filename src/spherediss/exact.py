@@ -257,7 +257,10 @@ def time_to_dissolution(eps: float) -> float:
     """
     if eps <= 0:
         raise DomainError("epsilon", "dissolution never completes for epsilon <= 0")
-    return _branch(eps).time(0.0)  # rejects non-finite values
+    t0 = _branch(eps).time(0.0)  # rejects non-finite values
+    if math.isinf(t0):
+        raise DomainError("epsilon", f"{eps!r} is too small: the exact dissolution time overflows")
+    return t0
 
 
 def _checked_branch(eps: float, lowest: float, highest: float):
@@ -320,7 +323,7 @@ def exact_curve(eps: float, n: int = 256, t_max: float | None = None) -> RadiusC
         return RadiusCurve(MethodId.EXACT_QS, eps, times, np.ones(n), metadata)
 
     branch = _branch(eps)
-    t0 = branch.time(0.0) if eps > 0 else math.inf
+    t0 = time_to_dissolution(eps) if eps > 0 else math.inf
     t_end = min(t_max, t0) if t_max is not None else t0
     g_first = _offset_at(branch, t_end * 1e-10)
     if t_end >= t0:

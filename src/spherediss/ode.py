@@ -139,7 +139,10 @@ def integrate_radius(
 
     if eps > 0:
         # complete dissolution always happens before the steady-flux bound 1/(2 eps)
-        tau_cap = math.sqrt(0.5 / eps) * (1.0 + 1e-9)
+        t_cap = 0.5 / eps
+        if math.isinf(t_cap):
+            raise DomainError("epsilon", f"{eps!r} is too small: the dissolution time overflows")
+        tau_cap = math.sqrt(t_cap) * (1.0 + 1e-9)
         tau_bound = min(tau_cap, math.sqrt(t_end)) if t_end is not None else tau_cap
     else:
         tau_bound = math.sqrt(t_end)

@@ -23,8 +23,10 @@ h (the cell toward larger x when R' > 0, toward the surface otherwise; x_adv
 sigma(z) >= |z|, 2 D sigma >= |a| h, and every neighbour coupling of the
 tridiagonal block stays non-negative on the stretched grid (the discrete
 maximum principle); sigma = 1 + z^2/3 + ... keeps the right-hand side
-smooth through R' = 0.  Time integration is implicit (BDF) with the radius
-carried as an extra state variable and an analytic sparse Jacobian.
+smooth through R' = 0.  Time integration is the variable-order BDF of
+``_bdf`` with the radius carried as an extra state variable.  The analytic
+Jacobian is a tridiagonal band plus a border, so each Newton solve is one
+LAPACK tridiagonal solve and a 2x2 system; no sparse matrix is built.
 
 The run starts from the analytic short-time profile at a small positive
 time, which sidesteps the incompatible initial/boundary data at t = 0.
@@ -39,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .curves import MethodId, RadiusCurve
-from .errors import DomainError, IntegrationError
+from .errors import DomainError
 
 #: The analytic far field at the final time must stay below 1e-6 at the
 #: truncation radius; erfc reaches that level at argument 3.46.
@@ -193,7 +195,7 @@ def _default_rhat_max(eps: float, t_stop: float, min_radius: float) -> float:
 
 
 def _mapped_system(x: np.ndarray, eps: float, beta: float):
-    """Right-hand side and analytic sparse Jacobian of the method-of-lines system.
+    """Right-hand side and analytic Jacobian of the method-of-lines system.
 
     The state is y = (w_1, ..., w_{N-2}, R).  With q = eps (w_x|_1 - 1) = R R'
     each interior row reads dw_i/dt = F_i(w, q) / R^2, where
@@ -201,13 +203,13 @@ def _mapped_system(x: np.ndarray, eps: float, beta: float):
     L1 are the central second and first differences and f_i = (pi/2) adv_i h
     on the upwind cell.  So the Jacobian is a tridiagonal block plus the
     columns w_1, w_2 (through q) and R, and the last row dR'/d(w_1, w_2, R).
+    ``jac`` returns it in parts: the band (rows of sub-, main and
+    super-diagonal weights, aligned with w_{i-1}, w_i, w_{i+1}), the column
+    by_q = d(dw/dt)/dq, the weights dq/dw_1, dq/dw_2 that make by_q the
+    columns w_1 and w_2, the column R and the last row's three entries.
     """
-    from scipy.sparse import csc_matrix
-
-    nodes = x.size
-    n_int = nodes - 2
-    n = n_int + 1
     d0, d1, d2 = _surface_flux_weights(x)
+    flux_weights = (eps * d1, eps * d2)
     xi = x[1:-1]
     hm = xi - x[:-2]
     hp = x[2:] - xi
@@ -219,7 +221,7 @@ def _mapped_system(x: np.ndarray, eps: float, beta: float):
     convection[1] -= 1.0 - beta / xi**3
     # sigma's argument per unit q: half the Peclet number of the upwind cell (adv > 0 on x >= 1)
     fit_up, fit_down = 0.5 * math.pi * adv * hp, 0.5 * math.pi * adv * hm
-    w = np.zeros(nodes)
+    w = np.zeros(x.size)
     w[0] = 1.0
 
     def stencil(weights):
@@ -236,22 +238,10 @@ def _mapped_system(x: np.ndarray, eps: float, beta: float):
     def rhs(t, y):
         q, _, _, _, band = terms(y)
         radius = float(y[-1])
-        dy = np.empty(n)
+        dy = np.empty(y.size)
         dy[:-1] = stencil(band) / (radius * radius)
         dy[-1] = q / radius
         return dy
-
-    # CSC pattern, built once.  jac lists its values in this order (band
-    # below, on and above the diagonal; columns w_1, w_2 and R; last row)
-    # and value k is summed into slot[k]
-    rows_int = np.arange(n_int)
-    rows = np.concatenate((rows_int[1:], rows_int, rows_int[:-1], rows_int, rows_int, rows_int,
-                           [n_int] * 3))
-    cols = np.concatenate((rows_int[:-1], rows_int, rows_int[1:], np.zeros(n_int, int),
-                           np.ones(n_int, int), np.full(n_int, n_int), [0, 1, n_int]))
-    keys, slot = np.unique(cols * n + rows, return_inverse=True)
-    indptr = np.searchsorted(keys // n, np.arange(n + 1))
-    indices = keys % n
 
     def jac(t, y):
         q, fit, z, sigma, band = terms(y)
@@ -262,15 +252,54 @@ def _mapped_system(x: np.ndarray, eps: float, beta: float):
                          (sigma - sigma * sigma + z * z) / np.where(small, 1.0, z))
         by_q = (slope * fit * stencil(diffusion) + stencil(convection)) * inv_r2  # d(dw_i/dt)/dq
         band *= inv_r2
-        values = np.concatenate((
-            band[0, 1:], band[1], band[2, :-1], eps * d1 * by_q, eps * d2 * by_q,
-            (-2.0 / radius) * stencil(band),
-            [eps * d1 / radius, eps * d2 / radius, -q * inv_r2],
-        ))
-        data = np.bincount(slot, weights=values, minlength=keys.size)
-        return csc_matrix((data, indices, indptr), shape=(n, n))
+        return (band, by_q, flux_weights, (-2.0 / radius) * stencil(band),
+                (flux_weights[0] / radius, flux_weights[1] / radius, -q * inv_r2))
 
     return rhs, jac
+
+
+def _factor(parts, c: float):
+    """Factor I - c J from the parts ``jac`` returns; return the solver of I - c J.
+
+    The w block of I - c J is T - c u g^T (T tridiagonal, u = by_q, g the
+    two flux weights), bordered by the R column and the last row.  One LAPACK
+    tridiagonal LU and two border solves here leave each solve one
+    tridiagonal solve and a 2x2 system for g.w and R.
+    """
+    from scipy.linalg.lapack import dgttrf, dgttrs
+
+    band, by_q, (g0, g1), r_col, (l0, l1, l_r) = parts
+    lu = dgttrf(-c * band[0, 1:], 1.0 - c * band[1], -c * band[2, :-1])[:5]
+    zu, zr = (dgttrs(*lu, column)[0] for column in (by_q, r_col))
+    a, b = 1.0 - c * (g0 * zu[0] + g1 * zu[1]), -c * (g0 * zr[0] + g1 * zr[1])
+    e, f = -c * c * (l0 * zu[0] + l1 * zu[1]), 1.0 - c * l_r - c * c * (l0 * zr[0] + l1 * zr[1])
+    det = a * f - b * e
+
+    def solve(rhs):
+        z = dgttrs(*lu, rhs[:-1])[0]
+        z0, z1 = z[:2].tolist()
+        gz, lz = g0 * z0 + g1 * z1, float(rhs[-1]) + c * (l0 * z0 + l1 * z1)
+        alpha, radius = (f * gz - b * lz) / det, (a * lz - e * gz) / det
+        out = np.empty(rhs.size)
+        out[:-1] = z + (c * alpha) * zu + (c * radius) * zr
+        out[-1] = radius
+        return out
+
+    return solve
+
+
+def _solute_drift(x: np.ndarray, y: np.ndarray, eps: float, beta: float) -> float | None:
+    """(field solute - released solute) / released solute of the state y.
+
+    The field equations conserve R^3 (1 - beta + 1/(pi eps)) / 3 + int_R^inf C r^2 dr,
+    so the particle has released (1 - R^3)(1 - beta + 1/(pi eps)) / 3; the
+    field integral is a trapezoid sum on the grid.  None when eps = 0.
+    """
+    if eps == 0:
+        return None
+    radius = float(y[-1])
+    field = radius**3 * np.trapezoid(np.concatenate(([1.0], y[:-1], [0.0])) * x, x)
+    return field / ((1.0 - radius**3) * (1.0 - beta + 1.0 / (math.pi * eps)) / 3.0) - 1.0
 
 
 def solve_moving_boundary(
@@ -308,11 +337,7 @@ def solve_moving_boundary(
                            config.stretch_ratio)
     nodes = x.size
 
-    # scipy loads with the first solve, not with the package, so that the closed forms load fast
-    from scipy.integrate import solve_ivp
-    from scipy.special import erfc
-
-    w0 = erfc((x - 1.0) * r_init * math.sqrt(math.pi / (4.0 * t_init)))
+    w0 = np.array([math.erfc(v) for v in (x - 1.0) * r_init * math.sqrt(math.pi / (4.0 * t_init))])
     w0[0], w0[-1] = 1.0, 0.0
 
     d0, d1, d2 = _surface_flux_weights(x)
@@ -326,42 +351,20 @@ def solve_moving_boundary(
             f"(> {100 * _MAX_FLUX_MISMATCH:.0f}%); increase nodes or t_init",
         )
 
+    # the stepper (and with it scipy's LAPACK) loads with the first solve, not with the package
+    from . import _bdf
+
     rhs, jac = _mapped_system(x, eps, beta)
-
-    events = []
-    if eps > 0:
-        def hit_floor(t, y):
-            return y[-1] - config.min_radius
-
-        hit_floor.terminal = True
-        hit_floor.direction = -1.0
-        events.append(hit_floor)
-
-    y0 = np.append(w0[1:-1], r_init)
-    sol = solve_ivp(
-        rhs,
-        (t_init, t_stop),
-        y0,
-        method="BDF",
-        rtol=config.rel_tol,
-        atol=config.abs_tol,
-        jac=jac,
-        events=events or None,
-        dense_output=len(snapshot_times) > 0,  # the final state is sol.y[:, -1], even at an event
-    )
-    if sol.status == -1:
-        raise IntegrationError(
-            f"time stepping failed: {sol.message}",
-            t=float(sol.t[-1]) if sol.t.size else t_init,
-            radius=float(sol.y[-1, -1]) if sol.t.size else r_init,
-        )
-    stopped_on = "min_radius" if sol.status == 1 else "t_end"
+    run = _bdf.integrate(rhs, jac, _factor, t_init, np.append(w0[1:-1], r_init), t_stop,
+                         config.rel_tol, config.abs_tol,
+                         floor=config.min_radius if eps > 0 else None, t_eval=snapshot_times)
+    stopped_on = "min_radius" if run.stopped_at_floor else "t_end"
 
     curve = RadiusCurve(
         MethodId.PDE_REFERENCE,
         eps,
-        sol.t,
-        sol.y[-1],
+        run.ts,
+        run.last,
         metadata={
             "density_ratio": density_ratio,
             "nodes": nodes,
@@ -371,37 +374,32 @@ def solve_moving_boundary(
             "abs_tol": config.abs_tol,
             "t_init": t_init,
             "stopped_on": stopped_on,
-            "nfev": sol.nfev,
-            "njev": sol.njev,
-            "nlu": sol.nlu,
-            "steps": sol.t.size - 1,
+            "nfev": run.nfev,
+            "njev": run.njev,
+            "nlu": run.nlu,
+            "steps": run.steps,
+            "solute_drift": _solute_drift(x, run.y, eps, beta),
         },
     )
 
     def field_at(t_snap: float, y: np.ndarray) -> MappedField:
-        w = np.concatenate(([1.0], y[:-1], [0.0]))
-        return MappedField(
-            rhat=x.copy(),
-            concentration=w / x,
-            radius=float(y[-1]),
-            t=float(t_snap),
-            density_ratio=density_ratio,
-        )
+        concentration = np.concatenate(([1.0], y[:-1], [0.0])) / x
+        return MappedField(x.copy(), concentration, float(y[-1]), float(t_snap), density_ratio)
 
-    t_final = float(sol.t[-1])
+    t_final = float(run.ts[-1])
     snapshots = []
-    for t_snap in snapshot_times:
-        if not t_init <= t_snap <= t_final:
+    for t_snap, y_snap in zip(snapshot_times, run.y_eval):
+        if y_snap is None:
             raise DomainError(
                 "snapshot_times",
                 f"t={t_snap!r} outside the integrated span [{t_init:g}, {t_final:g}]",
             )
-        snapshots.append(field_at(t_snap, sol.sol(t_snap)))
+        snapshots.append(field_at(t_snap, y_snap))
 
     return MovingBoundaryResult(
         curve=curve,
         snapshots=tuple(snapshots),
-        final_field=field_at(t_final, sol.y[:, -1]),
+        final_field=field_at(t_final, run.y),
         stopped_on=stopped_on,
         config_used=config,
     )

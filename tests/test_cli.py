@@ -95,6 +95,17 @@ class TestCurve:
         assert err.startswith("t_max:") or err.startswith("t-max:")
 
 
+@pytest.mark.parametrize("method", ["exact", "qss", "small-time", "intuitive", "duda",
+                                    "blended", "ode"])
+def test_subnormal_epsilon_is_a_domain_error(capsys, method):
+    # t0 ~ 1/(2 eps) overflows: a one-line diagnostic naming epsilon, exit code 3
+    code, out, err = run_cli(capsys, "curve", "--epsilon", "1e-320", "--method", method,
+                             "--samples", "4")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("epsilon:") and err.count("\n") == 1
+
+
 class TestInvert:
     def test_published_value(self, capsys):
         code, out, _ = run_cli(capsys, "invert", "--epsilon", "0.1", "--t", "1.83532")
@@ -135,6 +146,32 @@ class TestCompare:
                 break
         else:
             pytest.fail("missing ode summary line")
+
+    @pytest.mark.parametrize("eps", [0.01, 0.1, 0.5, 1.0, 1.5, 1.9])
+    def test_ode_column_reaches_the_exact_t0(self, capsys, eps):
+        # the oracle's own t0 may fall short of the exact one the grid ends at
+        code, out, err = run_cli(
+            capsys, "compare", "--epsilon", str(eps), "--methods", "exact,ode",
+            "--samples", "33", "--raw",
+        )
+        assert code == 0, err
+        _, rows = parse_csv(out)
+        t_last, exact_last, ode_last = (float(v) for v in rows[-1])
+        assert t_last == pytest.approx(spherediss.time_to_dissolution(eps), rel=1e-12)
+        assert 0.0 <= exact_last <= 1e-4 and 0.0 <= ode_last <= 1e-4
+
+    @pytest.mark.parametrize("eps, methods", [(0.1, "qss"), (0.01, "small-time,blended"),
+                                              (0.1, "qss,intuitive,duda")])
+    def test_grid_ends_by_the_exact_t0_without_the_exact_column(self, capsys, eps, methods):
+        # the exact column is always filled, so the grid never runs past the exact t0
+        code, out, err = run_cli(capsys, "compare", "--epsilon", str(eps), "--methods", methods,
+                                 "--samples", "17", "--raw")
+        assert code == 0, err
+        _, rows = parse_csv(out)
+        ends = [spherediss.approx_t0(spherediss.MethodId.from_string(name), eps)
+                for name in methods.split(",")]
+        t_end = min(ends + [spherediss.time_to_dissolution(eps)])
+        assert float(rows[-1][0]) == pytest.approx(t_end, rel=1e-12)
 
     def test_blended_outside_fit_range(self, capsys):
         code, _, err = run_cli(
@@ -365,6 +402,15 @@ with contextlib.redirect_stdout(io.StringIO()):
         proc = run_python(self.LIGHT_WORK + pde_call + "print('scipy' in sys.modules)")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "True"
+
+    def test_moving_boundary_solver_loads_only_lapack(self):
+        # the stepper is in-house; of scipy only scipy.linalg's LAPACK wrappers load
+        pde_call = "sd.solve_moving_boundary(0.1, 1.0, sd.PdeConfig(t_end=1e-3))\n"
+        proc = run_python(self.LIGHT_WORK + pde_call + "print(sorted(m for m in sys.modules if "
+                          "m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'sparse'], "
+                          "['scipy', 'special'])))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "cli_golden.json")
