@@ -6,6 +6,8 @@ oracle, and a direct moving-boundary reference solver, with a CLI for
 curve generation and table reproduction.
 """
 
+import importlib
+
 from .approx import (
     BlendWeight,
     approx_curve,
@@ -52,10 +54,26 @@ from .model import (
     nondimensionalize,
     redimensionalize,
 )
-from .ode import IntegratorConfig, RadiusIntegration, integrate_radius
-from .pde import MappedField, MovingBoundaryResult, PdeConfig, solve_moving_boundary
 
 __version__ = "0.1.0"
+
+#: The solver modules' names, imported on first access (PEP 562): not with the package.
+_SOLVER_NAMES = {
+    "IntegratorConfig": "ode", "RadiusIntegration": "ode", "integrate_radius": "ode",
+    "MappedField": "pde", "MovingBoundaryResult": "pde", "PdeConfig": "pde",
+    "solve_moving_boundary": "pde",
+}
+
+
+def __getattr__(name):
+    if name not in _SOLVER_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_SOLVER_NAMES[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_SOLVER_NAMES))
+
 
 __all__ = [
     "BlendWeight",

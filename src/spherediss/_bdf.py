@@ -66,9 +66,12 @@ def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol) -> float:
     # Hairer, Norsett & Wanner, "Solving ODEs I", sec. II.4, for an order-1 estimate
     interval = t_bound - t0
     scale = atol + np.abs(y0) * rtol
-    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    with np.errstate(over="ignore"):  # an overflow leaves no usable h0, refused below
+        d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
+    if not 0.0 < h0 < math.inf:
+        raise IntegrationError(f"no usable initial step (h0={h0!r})", t=t0, radius=float(y0[-1]))
     d2 = _rms((fun(t0 + h0, y0 + h0 * f0) - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)

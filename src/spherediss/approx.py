@@ -26,8 +26,6 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from . import exact
 from .curves import MethodId, RadiusCurve, check_grid
 from .errors import (
@@ -37,7 +35,7 @@ from .errors import (
     PastDissolutionError,
     warn_clamped,
 )
-from .exact import ARRAY_OPS, FLOAT_OPS
+from .exact import FLOAT_OPS, array_ops, ndim
 
 FIT_RANGE = (-0.5, 0.5)
 
@@ -67,7 +65,7 @@ def _duda_sq(eps, t, xp):
     return 1.0 - 2.0 * eps * (2.0 * xp.sqrt(t) + t)
 
 
-#: R(eps, t) of the four unweighted formulas, for floats (FLOAT_OPS) or arrays (ARRAY_OPS).
+#: R(eps, t) of the four unweighted formulas, for floats (FLOAT_OPS) or arrays (array_ops()).
 _FORMULAS = {
     MethodId.QSS: _qss,
     MethodId.SMALL_TIME: lambda eps, t, xp: xp.maximum(1.0 - 2.0 * eps * xp.sqrt(t), 0.0),
@@ -176,8 +174,9 @@ def blended_t0(eps: float, allow_extrapolation: bool = False) -> float:
     if math.isinf(t_cap):
         raise DomainError("epsilon", f"{eps!r} is too small: the blended dissolution time "
                                      "overflows")
+    import numpy as np
     roots = np.linspace(0.0, math.sqrt(t_cap), _BLEND_SCAN_POINTS + 1)
-    crossed = np.flatnonzero(_blend_radicand(eps, alpha, roots[1:] ** 2, ARRAY_OPS) <= 0.0)
+    crossed = np.flatnonzero(_blend_radicand(eps, alpha, roots[1:] ** 2, array_ops()) <= 0.0)
     if crossed.size == 0:
         raise DomainError("epsilon", f"blended radicand has no zero below t={t_cap:g}")
     lo, hi = roots[crossed[0]] ** 2, roots[crossed[0] + 1] ** 2
@@ -244,11 +243,12 @@ def _radius(method: MethodId, eps: float, t, allow_extrapolation: bool = False):
         raise DomainError("method", f"{method.value!r} is not an explicit approximation")
     else:
         _check_eps(eps, nonzero=method in (MethodId.INTUITIVE, MethodId.DUDA_VRENTAS))
-    if isinstance(t, float) or not np.ndim(t):
+    if isinstance(t, (float, int)) or not ndim(t):
         xp, t = FLOAT_OPS, float(t)
         first = last = t
     else:
-        xp, t = ARRAY_OPS, np.asarray(t, dtype=float)
+        import numpy as np
+        xp, t = array_ops(), np.asarray(t, dtype=float)
         first, last = float(t.min(initial=0.0)), float(t.max(initial=0.0))
     if not (first >= 0.0 and math.isfinite(last)):  # both are nan if any time is
         bad = last if first >= 0.0 else first
@@ -286,6 +286,7 @@ def approx_curve(
     For eps > 0 the grid spans [0, t0(method)] unless ``t_max`` cuts it
     short; for eps <= 0 a ``t_max`` is required.
     """
+    import numpy as np
     check_grid(eps, n, t_max)
     t_end = min(approx_t0(method, eps), t_max or math.inf) if eps > 0 else t_max
     times = np.linspace(0.0, math.sqrt(t_end), n) ** 2

@@ -11,7 +11,8 @@ unset, falls back to the solver config's own default.  Exit codes: 0
 success, 2 argument error, 3 domain error (a value outside some formula's
 validity range), with a one-line ``argument: message`` diagnostic on stderr;
 an ``--output`` or ``--snapshot-prefix`` path that cannot be written is an
-argument error.
+argument error, and a solver that cannot finish its run is exit 3 with a
+one-line ``solver: message``.
 """
 
 from __future__ import annotations
@@ -23,11 +24,9 @@ import os
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import __version__, approx, exact, model, ode, pde
+from . import __version__, approx, exact, model
 from .curves import MethodId, RadiusCurve, check_grid
-from .errors import DomainError
+from .errors import DomainError, IntegrationError
 
 _ENV_PREFIX = "SPHEREDISS_"
 
@@ -43,19 +42,24 @@ def _env_float(name: str, default: float) -> float:
         raise DomainError(_ENV_PREFIX + name, f"not a number: {raw!r}") from None
 
 
-def _ode_config() -> ode.IntegratorConfig:
+def _ode_run(eps: float, t_end: float | None):
+    """The ODE oracle's run, its tolerances overridden by ``SPHEREDISS_ODE_*``."""
+    from . import ode
     cls = ode.IntegratorConfig
-    return cls(
-        rel_tol=_env_float("ODE_RTOL", cls.rel_tol),
-        abs_tol=_env_float("ODE_ATOL", cls.abs_tol),
-        min_radius=_env_float("ODE_MIN_RADIUS", cls.min_radius),
-    )
+    config = cls(rel_tol=_env_float("ODE_RTOL", cls.rel_tol),
+                 abs_tol=_env_float("ODE_ATOL", cls.abs_tol),
+                 min_radius=_env_float("ODE_MIN_RADIUS", cls.min_radius))
+    return ode.integrate_radius(eps, t_end=t_end, config=config)
 
 
-def _pde_config(**fields) -> pde.PdeConfig:
+def _pde_run(eps: float, rho_ratio: float, snapshot_times=(), **fields):
+    """The moving-boundary solve; a field given as None keeps ``PdeConfig``'s default."""
+    from . import pde
     cls = pde.PdeConfig
-    return cls(rel_tol=_env_float("PDE_RTOL", cls.rel_tol),
-               abs_tol=_env_float("PDE_ATOL", cls.abs_tol), **fields)
+    config = cls(rel_tol=_env_float("PDE_RTOL", cls.rel_tol),
+                 abs_tol=_env_float("PDE_ATOL", cls.abs_tol),
+                 **{name: value for name, value in fields.items() if value is not None})
+    return pde.solve_moving_boundary(eps, rho_ratio, config, snapshot_times=snapshot_times)
 
 
 @dataclass(frozen=True)
@@ -79,16 +83,9 @@ def t0_table(epsilons: list[float]) -> list[ReportRow]:
         t0 = exact.time_to_dissolution(eps)
         qss = approx.approx_t0(MethodId.QSS, eps)
         intuitive = approx.approx_t0(MethodId.INTUITIVE, eps)
-        rows.append(
-            ReportRow(
-                epsilon=eps,
-                t0_exact=t0,
-                t0_qss=qss,
-                t0_intuitive=intuitive,
-                rel_err_qss=100.0 * (qss - t0) / t0,
-                rel_err_intuitive=100.0 * (intuitive - t0) / t0,
-            )
-        )
+        rows.append(ReportRow(epsilon=eps, t0_exact=t0, t0_qss=qss, t0_intuitive=intuitive,
+                              rel_err_qss=100.0 * (qss - t0) / t0,
+                              rel_err_intuitive=100.0 * (intuitive - t0) / t0))
     return rows
 
 
@@ -149,8 +146,9 @@ def _method_curve(method: MethodId, eps: float, n: int, t_max: float | None) -> 
     if method is MethodId.EXACT_QS:
         return exact.exact_curve(eps, n, t_max)
     if method is MethodId.ODE_ORACLE:
+        import numpy as np
         check_grid(eps, n, t_max)
-        run = ode.integrate_radius(eps, t_end=t_max, config=_ode_config())
+        run = _ode_run(eps, t_max)
         t_end = min(run.t_end, t_max) if t_max is not None else run.t_end
         times = np.linspace(0.0, math.sqrt(t_end), n) ** 2
         return RadiusCurve(method, eps, times, run.radius_at(times), {"samples": n, "t_max": t_max})
@@ -196,6 +194,7 @@ def _cmd_t0_table(args) -> None:
 
 
 def _cmd_compare(args) -> None:
+    import numpy as np
     eps = args.epsilon
     methods = [_parse_method(name.strip()) for name in args.methods.split(",") if name.strip()]
     if not methods:
@@ -221,26 +220,15 @@ def _cmd_compare(args) -> None:
         if method is MethodId.EXACT_QS:
             values = exact_values
         elif method is MethodId.ODE_ORACLE:
-            run = ode.integrate_radius(
-                eps,
-                t_end=None if eps > 0 else float(times[-1]),
-                config=_ode_config(),
-            )
+            run = _ode_run(eps, None if eps > 0 else float(times[-1]))
             # the run's own t0 may fall short of the exact one the grid ends at: R = 0 there
             dissolved = run.dissolution_time
             values = run.radius_at(times if dissolved is None else np.minimum(times, dissolved))
         elif method is MethodId.PDE_REFERENCE:
-            result = pde.solve_moving_boundary(
-                eps,
-                args.rho_ratio,
-                _pde_config(t_end=float(times[-1]) * 1.0000001, min_radius=0.02),
-            )
+            result = _pde_run(eps, args.rho_ratio, t_end=float(times[-1]) * 1.0000001,
+                              min_radius=0.02)
             pde_t, pde_r = result.curve.times, result.curve.radii
-            values = np.where(
-                times <= pde_t[-1],
-                np.interp(times, pde_t, pde_r),
-                np.nan,
-            )
+            values = np.where(times <= pde_t[-1], np.interp(times, pde_t, pde_r), np.nan)
         else:
             values = approx.approx_radius(method, eps, times)
         columns[method.value] = values
@@ -256,20 +244,17 @@ def _cmd_compare(args) -> None:
 
     meta = _base_meta(epsilon=eps, methods=",".join(m.value for m in methods), samples=n)
     header = ["t"] + [m.value for m in methods]
-    rows = [
-        [times[i]] + [float(columns[m.value][i]) for m in methods]
-        for i in range(times.size)
-    ]
+    rows = [[times[i]] + [float(columns[m.value][i]) for m in methods]
+            for i in range(times.size)]
     _emit(args, meta, header, rows, summary=summary)
 
 
 def _cmd_pde(args) -> None:
-    config = _pde_config(nodes=args.nodes, rhat_max=args.rhat_max, t_end=args.t_end,
-                         min_radius=args.min_radius)
+    import numpy as np
     snapshot_times = _parse_float_list(args.snapshot_times, "snapshot-times") \
         if args.snapshot_times else []
-    result = pde.solve_moving_boundary(args.epsilon, args.rho_ratio, config,
-                                       snapshot_times=snapshot_times)
+    result = _pde_run(args.epsilon, args.rho_ratio, snapshot_times, nodes=args.nodes,
+                      rhat_max=args.rhat_max, t_end=args.t_end, min_radius=args.min_radius)
     curve = result.curve
 
     # deviation from the exact quasi-stationary radius at the sampled times
@@ -399,11 +384,10 @@ def _build_parser() -> argparse.ArgumentParser:
     pde_cmd = subparsers.add_parser("pde", help="moving-boundary reference solve")
     pde_cmd.add_argument("--epsilon", type=float, required=True)
     pde_cmd.add_argument("--rho-ratio", type=float, required=True, dest="rho_ratio")
-    pde_cmd.add_argument("--nodes", type=int, default=pde.PdeConfig.nodes)
+    pde_cmd.add_argument("--nodes", type=int)
     pde_cmd.add_argument("--rhat-max", type=float, default=None, dest="rhat_max")
     pde_cmd.add_argument("--t-end", type=float, default=None, dest="t_end")
-    pde_cmd.add_argument("--min-radius", type=float, default=pde.PdeConfig.min_radius,
-                         dest="min_radius")
+    pde_cmd.add_argument("--min-radius", type=float, dest="min_radius")
     pde_cmd.add_argument("--snapshot-times", default=None, dest="snapshot_times",
                          help="comma-separated times; one CSV per snapshot")
     pde_cmd.add_argument("--snapshot-prefix", default="snapshot", dest="snapshot_prefix")
@@ -437,8 +421,8 @@ def main(argv: list[str] | None = None) -> int:
     except _PathError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except DomainError as exc:
-        print(str(exc), file=sys.stderr)
+    except (DomainError, IntegrationError) as exc:
+        print(str(exc) if isinstance(exc, DomainError) else f"solver: {exc}", file=sys.stderr)
         return 3
     return 0
 

@@ -5,11 +5,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Most samples one curve may ask for.  ``compare`` still fills its exact
 #: column point by point, so a grid much larger than this runs for minutes.
@@ -79,6 +80,7 @@ class RadiusCurve:
     metadata: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
+        import numpy as np
         times = np.asarray(self.times, dtype=float)
         radii = np.asarray(self.radii, dtype=float)
         object.__setattr__(self, "times", times)

@@ -22,19 +22,18 @@ function of a single curve parameter and the radius follows algebraically:
 
 Each branch is written once, in the offset g = p - lower from the lower
 bound of p, where R = (a g + b) sqrt(t) suffers no cancellation, against
-``FLOAT_OPS`` for one float or ``ARRAY_OPS`` for arrays.  Radius-at-time
-queries invert t(g) by Newton's method kept inside a bracket, which matters
-at extinction, where dt/dg vanishes.
+``FLOAT_OPS`` for one float or ``array_ops()`` (numpy, imported on the first
+array call) for arrays.  Radius-at-time queries invert t(g) by Newton's
+method kept inside a bracket, which matters at extinction, where dt/dg vanishes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
-
-import numpy as np
 
 from .curves import MethodId, RadiusCurve, check_grid
 from .errors import DomainError, PastDissolutionError
@@ -58,10 +57,21 @@ FLOAT_OPS = SimpleNamespace(
     hypot=math.hypot, maximum=max, minimum=min, any=bool,
     where=lambda cond, a, b: a if cond else b,
 )
-ARRAY_OPS = SimpleNamespace(
-    exp=np.exp, log=np.log, log1p=np.log1p, sqrt=np.sqrt, atan2=np.arctan2,
-    hypot=np.hypot, maximum=np.maximum, minimum=np.minimum, any=np.any, where=np.where,
-)
+
+
+@cache
+def array_ops() -> SimpleNamespace:
+    """numpy's counterparts of ``FLOAT_OPS``, built on the first array call."""
+    import numpy as np
+    return SimpleNamespace(exp=np.exp, log=np.log, log1p=np.log1p, sqrt=np.sqrt,
+                           atan2=np.arctan2, hypot=np.hypot, maximum=np.maximum,
+                           minimum=np.minimum, any=np.any, where=np.where)
+
+
+def ndim(t) -> int:
+    """Dimensions of a time argument that is not a Python float or int."""
+    import numpy as np
+    return np.ndim(t)
 
 
 class _Branch(NamedTuple):
@@ -286,8 +296,8 @@ def radius_at(eps: float, t):
     eps > 0 no time may exceed the complete-dissolution time; such queries
     raise ``PastDissolutionError``.
     """
-    if not isinstance(t, float) and np.ndim(t):
-        return _radius_array(eps, np.asarray(t, dtype=float))
+    if not isinstance(t, (float, int)) and ndim(t):
+        return _radius_array(eps, t)
     t = float(t)
     branch, t0 = _checked_branch(eps, t, t)
     if t >= t0:
@@ -297,13 +307,16 @@ def radius_at(eps: float, t):
     return branch.radius(_offset_at(branch, t), t)
 
 
-def _radius_array(eps: float, t: np.ndarray) -> np.ndarray:
+def _radius_array(eps: float, t):
+    import numpy as np
+    t = np.asarray(t, dtype=float)
     branch, t0 = _checked_branch(eps, *((float(t.min()), float(t.max())) if t.size else (0, 0)))
     radii = np.where(t >= t0, 0.0, 1.0)
     if branch is not None:
-        solve = (t < t0) & ~_initial(eps, t, ARRAY_OPS)
+        xp = array_ops()
+        solve = (t < t0) & ~_initial(eps, t, xp)
         times = t[solve]
-        radii[solve] = branch.radius(_offset_at(branch, times, ARRAY_OPS), times, ARRAY_OPS)
+        radii[solve] = branch.radius(_offset_at(branch, times, xp), times, xp)
     return radii
 
 
@@ -316,9 +329,11 @@ def exact_curve(eps: float, n: int = 256, t_max: float | None = None) -> RadiusC
     grid is log-spaced in the offset from the branch's lower bound, which
     resolves both the t -> 0 and the R -> 0 ends.
     """
+    import numpy as np
     check_grid(eps, n, t_max)
     metadata = {"samples": n, "parameter_grid": "geometric", "t_max": t_max}
-    if eps == 0:
+    if eps == 0 or (eps < 0 and t_max + 2.0 * math.sqrt(t_max) <= _ROUNDS_TO_ONE / -eps):
+        # no growth, or growth that rounds away: the curve of ones
         times = np.linspace(0.0, t_max, n)
         return RadiusCurve(MethodId.EXACT_QS, eps, times, np.ones(n), metadata)
 
@@ -334,8 +349,8 @@ def exact_curve(eps: float, n: int = 256, t_max: float | None = None) -> RadiusC
 
     # descending offset <=> ascending time
     offsets = np.sort(offsets)[::-1]
-    times = branch.time(offsets, ARRAY_OPS)
-    radii = branch.radius(offsets, times, ARRAY_OPS)
+    times = branch.time(offsets, array_ops())
+    radii = branch.radius(offsets, times, array_ops())
     return RadiusCurve(MethodId.EXACT_QS, eps, times, radii, metadata)
 
 

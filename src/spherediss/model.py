@@ -16,11 +16,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .curves import MethodId, RadiusCurve
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Tolerance used when matching a curve's epsilon against a scenario's.
 EPSILON_MATCH_TOL = 1e-12
@@ -171,6 +173,7 @@ class DimensionalCurve:
     radii_m: np.ndarray
 
     def __len__(self) -> int:
+        import numpy as np
         return int(np.asarray(self.times_s).size)
 
 

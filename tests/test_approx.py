@@ -314,6 +314,16 @@ class TestArrayTimes:
         with pytest.warns(ClampedRadiusWarning):  # a float past t0 still warns
             assert approx_radius(method, 0.3, 1.5 * t0) == 0.0
 
+    @pytest.mark.parametrize("method", EXPLICIT_METHODS)
+    @pytest.mark.parametrize("kind", ["int", "float64", "0-d array"])
+    def test_scalar_time_types_match_the_float_call(self, method, kind):
+        # an int skips numpy; the others ask np.ndim and take the float path
+        t = {"int": 1, "float64": np.float64(0.7), "0-d array": np.array(0.7)}[kind]
+        radius = approx_radius(method, 0.1, t)
+        assert radius.hex() == approx_radius(method, 0.1, float(t)).hex()
+        if kind != "0-d array":
+            assert type(radius) is float
+
     def test_ode_oracle_refuses_arrays(self):
         with pytest.raises(DomainError) as info:
             approx_radius(MethodId.ODE_ORACLE, 0.1, np.array([0.0, 1.0]))

@@ -106,6 +106,19 @@ def test_subnormal_epsilon_is_a_domain_error(capsys, method):
     assert err.startswith("epsilon:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("method", ["exact", "qss", "small-time", "intuitive", "duda",
+                                    "blended", "ode"])
+@pytest.mark.parametrize("eps", ["-1e-310", "-1e-320", "-5e-324"])
+def test_negative_subnormal_epsilon_gives_the_curve_of_ones(capsys, method, eps):
+    # growth that rounds away: R = 1 at every sample, as at epsilon = 0
+    code, out, err = run_cli(capsys, "curve", f"--epsilon={eps}", "--t-max", "1",
+                             "--method", method, "--samples", "8")
+    assert code == 0, err
+    _, rows = parse_csv(out)
+    assert len(rows) == 8
+    assert [float(radius) for _, radius in rows] == [1.0] * 8
+
+
 class TestInvert:
     def test_published_value(self, capsys):
         code, out, _ = run_cli(capsys, "invert", "--epsilon", "0.1", "--t", "1.83532")
@@ -339,6 +352,16 @@ class TestPdeCommand:
             assert float(rows[0][1]) == pytest.approx(1.0)
 
 
+    @pytest.mark.parametrize("ratio", ["1e20", "1e300"])
+    def test_extreme_density_ratio_is_a_one_line_solver_error(self, capsys, ratio):
+        # 1e20: the step size underflows; 1e300: the initial rate overflows
+        code, out, err = run_cli(capsys, "pde", "--epsilon", "0.1", "--rho-ratio", ratio,
+                                 "--t-end", "1")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("solver: ") and err.count("\n") == 1
+
+
 class TestEnvOverrides:
     def test_bogus_env_value_is_domain_error(self, capsys, monkeypatch):
         monkeypatch.setenv("SPHEREDISS_ODE_RTOL", "three")
@@ -411,6 +434,79 @@ with contextlib.redirect_stdout(io.StringIO()):
                           "['scipy', 'special'])))")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+class TestLazyImports:
+    """``import spherediss`` and the closed-form commands load neither numpy
+    (where they need no array) nor the ODE and PDE solvers."""
+
+    SOLVERS = ("spherediss.ode", "spherediss.pde", "spherediss._bdf", "spherediss._dop853")
+
+    @staticmethod
+    def loaded_after(code, modules):
+        """Which of ``modules`` are in sys.modules after ``code`` ran, fresh."""
+        proc = run_python(code + f"\nprint(sorted(m for m in {modules!r} if m in sys.modules))")
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip()
+
+    @staticmethod
+    def command(argv):
+        return ("import contextlib, io, sys\nfrom spherediss.cli import main\n"
+                f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == 0")
+
+    def test_package_import_loads_neither_numpy_nor_the_solvers(self):
+        code = "import sys\nimport spherediss"
+        assert self.loaded_after(code, ("numpy", "scipy") + self.SOLVERS) == "[]"
+
+    def test_scalar_calls_load_no_numpy(self):
+        # int and float times take the float path without asking numpy
+        code = """import sys
+import spherediss as sd
+sd.radius_at(0.1, 1), sd.radius_at(-0.1, 2.5), sd.time_to_dissolution(0.1)
+sd.approx_radius(sd.MethodId.QSS, 0.1, 1), sd.approx_radius(sd.MethodId.DUDA_VRENTAS, 0.1, 0.5)
+sd.approx_t0(sd.MethodId.INTUITIVE, 0.1)"""
+        assert self.loaded_after(code, ("numpy",)) == "[]"
+
+    @pytest.mark.parametrize("argv", [
+        ["invert", "--epsilon", "0.1", "--t", "1"],
+        ["t0-table", "--epsilons", "0.1,0.01"],
+        ["nondim", "--cs", "1", "--c0", "0", "--rho-p", "1200", "--rho-m", "1000",
+         "--d", "1e-9", "--r0", "2e-6"],
+    ], ids=lambda argv: argv[0])
+    def test_scalar_commands_load_no_numpy(self, argv):
+        assert self.loaded_after(self.command(argv), ("numpy",)) == "[]"
+
+    @pytest.mark.parametrize("argv, loaded", [
+        (["curve", "--epsilon", "0.1", "--method", "exact", "--samples", "8"], []),
+        (["curve", "--epsilon", "0.1", "--method", "blended", "--samples", "8"], []),
+        (["compare", "--epsilon", "0.1", "--methods", "exact,qss", "--samples", "8"], []),
+        # the control: the oracle loads its own module, and only that
+        (["curve", "--epsilon", "0.1", "--method", "ode", "--samples", "8"], ["spherediss.ode"]),
+    ], ids=["curve_exact", "curve_blended", "compare_exact_qss", "curve_ode"])
+    def test_commands_load_only_the_solver_they_run(self, argv, loaded):
+        code = self.command(argv)
+        assert self.loaded_after(code, ("spherediss.ode", "spherediss.pde")) == repr(loaded)
+
+    def test_package_names_resolve_on_first_access(self):
+        code = """
+import sys
+import spherediss as sd
+config = sd.PdeConfig
+import spherediss.pde
+assert config is spherediss.pde.PdeConfig
+assert set(sd.__all__) <= set(dir(sd))
+namespace = {}
+exec("from spherediss import *", namespace)
+assert set(sd.__all__) <= set(namespace), set(sd.__all__) - set(namespace)
+assert not hasattr(sd, "no_such_name")
+try:
+    sd.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise AssertionError("unknown attribute resolved")
+"""
+        assert self.loaded_after(code, ("spherediss.pde",)) == "['spherediss.pde']"
 
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "cli_golden.json")

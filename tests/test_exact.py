@@ -21,8 +21,8 @@ from spherediss import (
     time_to_dissolution,
 )
 from spherediss.exact import (
-    ARRAY_OPS,
     _branch,
+    array_ops,
     _time_critical,
     _time_dissolution,
     _time_growth,
@@ -228,6 +228,16 @@ class TestRadiusAt:
 
     def test_tiny_time_shortcut(self):
         assert radius_at(0.5, 1e-15) == 1.0
+
+    @pytest.mark.parametrize("eps", [0.1, 0.01, -0.2])
+    @pytest.mark.parametrize("kind", ["int", "float64", "0-d array"])
+    def test_scalar_time_types_match_the_float_call(self, eps, kind):
+        # an int skips numpy; the others ask np.ndim and take the float path
+        t = {"int": 1, "float64": np.float64(0.7), "0-d array": np.array(0.7)}[kind]
+        radius = radius_at(eps, t)
+        assert radius.hex() == radius_at(eps, float(t)).hex()
+        if kind != "0-d array":
+            assert type(radius) is float
 
     def test_inversion_residual(self):
         # the returned radius must identify a parameter whose time matches
@@ -462,7 +472,7 @@ class TestBranchTableProperties:
             offsets = math.sqrt(branch.curvature) * np.geomspace(1e-4, 1e4, 400)
         else:
             offsets = np.geomspace(1e-6, 1e6, 400)
-        assert np.all(np.diff(branch.time(offsets, ARRAY_OPS)) < 0)
+        assert np.all(np.diff(branch.time(offsets, array_ops())) < 0)
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(eps=epsilons.filter(lambda e: e > 0))

@@ -335,3 +335,12 @@ class TestBdfStepper:
         with pytest.raises(IntegrationError, match="underflow"):
             _bdf.integrate(fun, lambda t, y: -1.0, factor, 0.0, np.array([1.0]), 1.0,
                            1e-6, 1e-6)
+
+    def test_overflowing_initial_rate_raises(self):
+        # f0 / scale overflows, so the initial-step rule has no positive finite h0
+        def factor(jacobian, c):
+            return lambda b: b / (1.0 - c * jacobian)
+
+        with pytest.raises(IntegrationError, match="initial step"):
+            _bdf.integrate(lambda t, y: np.full(1, 1e308), lambda t, y: 0.0, factor, 0.0,
+                           np.array([1.0]), 1.0, 1e-6, 1e-6)
