@@ -16,7 +16,9 @@ Each formula is evaluated in one place, ``approx_radius``, for one float or
 an array of times; the per-method wrappers and ``approx_curve`` call it.
 For eps > 0 qss, intuitive and duda refuse a time past their t0, while
 small-time and blended clamp the radius to 0 there: with a
-``ClampedRadiusWarning`` for a float, silently for an array.
+``ClampedRadiusWarning`` for a float, silently for an array.  Each t0
+formula is written once, in ``_T0_DISPATCH``; times and t0s follow the
+query contract of ``curves``.
 """
 
 from __future__ import annotations
@@ -27,15 +29,18 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import exact
-from .curves import MethodId, RadiusCurve, check_grid
-from .errors import (
-    DomainError,
-    EpsilonRangeError,
-    ExtrapolationWarning,
-    PastDissolutionError,
-    warn_clamped,
+from .curves import (
+    FLOAT_OPS,
+    MethodId,
+    RadiusCurve,
+    array_ops,
+    check_epsilon,
+    check_grid,
+    check_not_past,
+    dissolution_time,
+    query_times,
 )
-from .exact import FLOAT_OPS, array_ops, ndim
+from .errors import DomainError, EpsilonRangeError, ExtrapolationWarning, warn_clamped
 
 FIT_RANGE = (-0.5, 0.5)
 
@@ -46,8 +51,7 @@ _BLEND_T0_REL_TOL = 1e-12
 
 
 def _check_eps(eps: float, nonzero: bool = False) -> None:
-    if not math.isfinite(eps):
-        raise DomainError("epsilon", "must be finite")
+    check_epsilon(eps)
     if nonzero and eps == 0:
         raise DomainError("epsilon", "this formula is undefined at epsilon = 0")
 
@@ -86,10 +90,7 @@ def small_time_radius(eps: float, t: float) -> float:
 
 def intuitive_t0(eps: float) -> float:
     """Complete-dissolution time of the combined-flux formula, 1/(2 eps (2 eps + 1))."""
-    _check_eps(eps, nonzero=True)
-    if eps < 0:
-        raise DomainError("epsilon", "dissolution never completes for epsilon < 0")
-    return 1.0 / (2.0 * eps * (2.0 * eps + 1.0))
+    return approx_t0(MethodId.INTUITIVE, eps)
 
 
 def intuitive_radius(eps: float, t: float) -> float:
@@ -98,11 +99,9 @@ def intuitive_radius(eps: float, t: float) -> float:
 
 
 def duda_t0(eps: float) -> float:
-    """Complete-dissolution time of the boundary-fitted closed form."""
-    _check_eps(eps, nonzero=True)
-    if eps < 0:
-        raise DomainError("epsilon", "dissolution never completes for epsilon < 0")
-    return (math.sqrt(1.0 + 0.5 / eps) - 1.0) ** 2
+    """Complete-dissolution time of the boundary-fitted closed form,
+    (sqrt(1 + 1/(2 eps)) - 1)^2."""
+    return approx_t0(MethodId.DUDA_VRENTAS, eps)
 
 
 def duda_radius(eps: float, t: float) -> float:
@@ -167,13 +166,8 @@ def blended_t0(eps: float, allow_extrapolation: bool = False) -> float:
     Located by a sign-change scan uniform in sqrt(t) over [0, 1/(2 eps)]
     followed by bisection.
     """
+    t_cap = dissolution_time(eps, lambda e: 0.5 / e, "blended")
     alpha = blend_alpha(eps, allow_extrapolation).alpha
-    if eps <= 0:
-        raise DomainError("epsilon", "dissolution never completes for epsilon <= 0")
-    t_cap = 0.5 / eps
-    if math.isinf(t_cap):
-        raise DomainError("epsilon", f"{eps!r} is too small: the blended dissolution time "
-                                     "overflows")
     import numpy as np
     roots = np.linspace(0.0, math.sqrt(t_cap), _BLEND_SCAN_POINTS + 1)
     crossed = np.flatnonzero(_blend_radicand(eps, alpha, roots[1:] ** 2, array_ops()) <= 0.0)
@@ -205,32 +199,21 @@ _T0_DISPATCH = {
     MethodId.EXACT_QS: exact.time_to_dissolution,
     MethodId.QSS: lambda eps: 0.5 / eps,
     MethodId.SMALL_TIME: lambda eps: 0.25 / (eps * eps),
-    MethodId.INTUITIVE: intuitive_t0,
-    MethodId.DUDA_VRENTAS: duda_t0,
+    MethodId.INTUITIVE: lambda eps: 1.0 / (2.0 * eps * (2.0 * eps + 1.0)),
+    MethodId.DUDA_VRENTAS: lambda eps: (math.sqrt(1.0 + 0.5 / eps) - 1.0) ** 2,
     MethodId.BLENDED: lambda eps: blended_t0(eps, False),  # as _radius calls it: one cache key
 }
 
 
 def approx_t0(method: MethodId, eps: float) -> float:
     """Complete-dissolution time predicted by the given method, for eps > 0."""
-    _check_eps(eps)
-    if eps <= 0:
-        raise DomainError("epsilon", "no method predicts complete dissolution for epsilon <= 0")
-    try:
-        handler = _T0_DISPATCH[method]
-    except KeyError:
+    formula = _T0_DISPATCH.get(method)
+    if formula is None:
         raise DomainError(
             "method",
             f"{method.value!r} has no closed-form dissolution time; run its solver directly",
-        ) from None
-    try:
-        t0 = handler(eps)
-    except ZeroDivisionError:  # small-time's eps * eps underflows to 0
-        t0 = math.inf
-    if math.isinf(t0):
-        raise DomainError("epsilon", f"{eps!r} is too small: the {method.value} dissolution "
-                                     "time overflows")
-    return t0
+        )
+    return dissolution_time(eps, formula, method.value)
 
 
 def _radius(method: MethodId, eps: float, t, allow_extrapolation: bool = False):
@@ -243,16 +226,7 @@ def _radius(method: MethodId, eps: float, t, allow_extrapolation: bool = False):
         raise DomainError("method", f"{method.value!r} is not an explicit approximation")
     else:
         _check_eps(eps, nonzero=method in (MethodId.INTUITIVE, MethodId.DUDA_VRENTAS))
-    if isinstance(t, (float, int)) or not ndim(t):
-        xp, t = FLOAT_OPS, float(t)
-        first = last = t
-    else:
-        import numpy as np
-        xp, t = array_ops(), np.asarray(t, dtype=float)
-        first, last = float(t.min(initial=0.0)), float(t.max(initial=0.0))
-    if not (first >= 0.0 and math.isfinite(last)):  # both are nan if any time is
-        bad = last if first >= 0.0 else first
-        raise DomainError("t", f"must be a non-negative finite time, got {bad!r}")
+    xp, t, _, last = query_times(t)
     if blended:
         past = eps > 0 and t >= blended_t0(eps, allow_extrapolation)
         if xp is FLOAT_OPS and past:
@@ -261,10 +235,8 @@ def _radius(method: MethodId, eps: float, t, allow_extrapolation: bool = False):
     if method is MethodId.SMALL_TIME:
         if xp is FLOAT_OPS and 2.0 * eps * math.sqrt(t) > 1.0:
             warn_clamped("small-time", t)
-    elif eps > 0:
-        t0 = _T0_DISPATCH[method](eps)
-        if last > t0 * (1.0 + 1e-12):
-            raise PastDissolutionError(last, t0, method.value)
+    elif eps > 0:  # the raw t0: infinite where it overflows, and then never passed
+        check_not_past(last, _T0_DISPATCH[method](eps), method.value)
     return formula(eps, t, xp)
 
 

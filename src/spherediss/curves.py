@@ -1,13 +1,20 @@
-"""Carriers for radius-versus-time data shared by every solution method."""
+"""Carriers for radius-versus-time data shared by every solution method, and
+the query contract every layer applies before it evaluates a formula, each
+rule written once: what a valid time is (``query_times``), how far past t0 a
+time may lie (``check_not_past``), when a dissolution time exists
+(``dissolution_time``) and when an end time is required (``check_end``).
+"""
 
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterator, Mapping
+from functools import cache
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
 
-from .errors import DomainError
+from .errors import DomainError, PastDissolutionError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -45,23 +52,101 @@ class MethodId(enum.Enum):
         raise ValueError(f"unknown method {name!r}; valid methods: {valid}")
 
 
+#: The elementwise functions the closed forms are written against, for one float.
+FLOAT_OPS = SimpleNamespace(
+    exp=math.exp, log=math.log, log1p=math.log1p, sqrt=math.sqrt, atan2=math.atan2,
+    hypot=math.hypot, maximum=max, minimum=min, any=bool,
+    where=lambda cond, a, b: a if cond else b,
+)
+
+
+@cache
+def array_ops() -> SimpleNamespace:
+    """numpy's counterparts of ``FLOAT_OPS``, built on the first array call."""
+    import numpy as np
+    return SimpleNamespace(exp=np.exp, log=np.log, log1p=np.log1p, sqrt=np.sqrt,
+                           atan2=np.arctan2, hypot=np.hypot, maximum=np.maximum,
+                           minimum=np.minimum, any=np.any, where=np.where)
+
+
+def check_epsilon(eps: float) -> None:
+    """Refuse a driving force that is not a finite number."""
+    if not math.isfinite(eps):
+        raise DomainError("epsilon", "must be finite")
+
+
+def query_times(t):
+    """The time argument of a radius query as ``(xp, t, first, last)``.
+
+    A float or int (or any 0-d value) becomes a float, evaluated on
+    ``FLOAT_OPS``; anything else a float array, on ``array_ops()``.  ``first``
+    and ``last`` bound its times (both 0 for an empty array).  Every time must
+    be non-negative and finite.
+    """
+    scalar = isinstance(t, (float, int))
+    if scalar and 0.0 <= t < math.inf:
+        t = float(t)
+        return FLOAT_OPS, t, t, t  # the common case, kept short
+    if not scalar:
+        import numpy as np
+        scalar = not np.ndim(t)
+    if scalar:
+        xp, t = FLOAT_OPS, float(t)
+        first = last = t
+    else:
+        xp, t = array_ops(), np.asarray(t, dtype=float)
+        first, last = float(t.min(initial=0.0)), float(t.max(initial=0.0))
+    if not (first >= 0.0 and last < math.inf):  # both are nan if any time is
+        bad = last if first >= 0.0 else first
+        raise DomainError("t", f"must be a non-negative finite time, got {bad!r}")
+    return xp, t, first, last
+
+
+def check_not_past(last: float, t0: float, method: str = "exact") -> None:
+    """Refuse a latest time ``last`` past the method's dissolution time ``t0``,
+    beyond rounding."""
+    if last > t0 * (1.0 + 1e-12):
+        raise PastDissolutionError(last, t0, method)
+
+
+def dissolution_time(eps: float, formula: Callable[[float], float], method: str) -> float:
+    """``formula(eps)``, the method's complete-dissolution time, for 0 < eps < inf.
+
+    A formula that divides by zero or overflows for tiny eps has no
+    representable t0, and is refused as well.
+    """
+    if not 0.0 < eps < math.inf:
+        check_epsilon(eps)
+        raise DomainError("epsilon", "dissolution never completes for epsilon <= 0")
+    try:
+        t0 = formula(eps)
+    except ZeroDivisionError:
+        t0 = math.inf
+    if math.isinf(t0):
+        raise DomainError("epsilon",
+                          f"{eps!r} is too small: the {method} dissolution time overflows")
+    return t0
+
+
+def check_end(eps: float, t_end: float | None, param: str) -> None:
+    """Refuse an end time ``t_end`` (named ``param``) that is not positive and
+    finite, and a missing one for eps <= 0, where nothing ends the history."""
+    check_epsilon(eps)
+    if t_end is not None and not 0.0 < t_end < math.inf:
+        raise DomainError(param, f"must be positive, got {t_end!r}")
+    if eps <= 0 and t_end is None:
+        raise DomainError(param, "required for epsilon <= 0 (no finite endpoint)")
+
+
 def check_grid(eps: float, n: int, t_max: float | None) -> None:
     """Refuse a sampling request that cannot give a curve of ``n`` >= 2 points,
-    or that asks for more than ``MAX_SAMPLES``.
-
-    ``t_max``, if given, must be finite and positive; for eps <= 0 nothing ends
-    the history, so it is required.
-    """
+    or that asks for more than ``MAX_SAMPLES``, or whose end ``t_max`` fails
+    ``check_end``."""
     if not isinstance(n, int) or n < 2:
         raise DomainError("n", f"need at least 2 samples, got {n!r}")
     if n > MAX_SAMPLES:
         raise DomainError("n", f"at most {MAX_SAMPLES} samples, got {n}")
-    if not math.isfinite(eps):
-        raise DomainError("epsilon", "must be finite")
-    if t_max is not None and (not math.isfinite(t_max) or t_max <= 0):
-        raise DomainError("t_max", f"must be positive, got {t_max!r}")
-    if eps <= 0 and t_max is None:
-        raise DomainError("t_max", "required for epsilon <= 0 (no finite endpoint)")
+    check_end(eps, t_max, "t_max")
 
 
 @dataclass(frozen=True)

@@ -22,21 +22,31 @@ function of a single curve parameter and the radius follows algebraically:
 
 Each branch is written once, in the offset g = p - lower from the lower
 bound of p, where R = (a g + b) sqrt(t) suffers no cancellation, against
-``FLOAT_OPS`` for one float or ``array_ops()`` (numpy, imported on the first
-array call) for arrays.  Radius-at-time queries invert t(g) by Newton's
-method kept inside a bracket, which matters at extinction, where dt/dg vanishes.
+``curves.FLOAT_OPS`` for one float or ``curves.array_ops()`` (numpy, imported
+on the first array call) for arrays.  Radius-at-time queries invert t(g) by
+Newton's method kept inside a bracket, which matters at extinction, where
+dt/dg vanishes.  Their times, and the dissolution time, follow the query
+contract of ``curves``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
-from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
-from .curves import MethodId, RadiusCurve, check_grid
-from .errors import DomainError, PastDissolutionError
+from .curves import (
+    FLOAT_OPS,
+    MethodId,
+    RadiusCurve,
+    array_ops,
+    check_epsilon,
+    check_grid,
+    check_not_past,
+    dissolution_time,
+    query_times,
+)
+from .errors import DomainError
 from .model import Regime, branch_exponent, classify_regime
 
 #: Queries below this time return the initial radius, avoiding the
@@ -49,29 +59,6 @@ _SHORTCUT_ERROR = 1e-6
 _ROUNDS_TO_ONE = 1e-17
 
 _NEWTON_MAX_ITER = 100
-
-
-#: The elementwise functions the closed forms are written against.
-FLOAT_OPS = SimpleNamespace(
-    exp=math.exp, log=math.log, log1p=math.log1p, sqrt=math.sqrt, atan2=math.atan2,
-    hypot=math.hypot, maximum=max, minimum=min, any=bool,
-    where=lambda cond, a, b: a if cond else b,
-)
-
-
-@cache
-def array_ops() -> SimpleNamespace:
-    """numpy's counterparts of ``FLOAT_OPS``, built on the first array call."""
-    import numpy as np
-    return SimpleNamespace(exp=np.exp, log=np.log, log1p=np.log1p, sqrt=np.sqrt,
-                           atan2=np.arctan2, hypot=np.hypot, maximum=np.maximum,
-                           minimum=np.minimum, any=np.any, where=np.where)
-
-
-def ndim(t) -> int:
-    """Dimensions of a time argument that is not a Python float or int."""
-    import numpy as np
-    return np.ndim(t)
 
 
 class _Branch(NamedTuple):
@@ -247,13 +234,6 @@ def _time(eps: float, p: float) -> float:
     return branch.time(p - branch.lower)
 
 
-_time_dissolution = _time_growth = _time_supercritical = _time
-
-
-def _time_critical(p: float) -> float:
-    return _time(2.0, p)
-
-
 def time_to_dissolution(eps: float) -> float:
     """Dimensionless time at which the radius reaches zero, for eps > 0.
 
@@ -265,55 +245,29 @@ def time_to_dissolution(eps: float) -> float:
 
     which join continuously at eps = 2; each is the branch's t at g = 0.
     """
-    if eps <= 0:
-        raise DomainError("epsilon", "dissolution never completes for epsilon <= 0")
-    t0 = _branch(eps).time(0.0)  # rejects non-finite values
-    if math.isinf(t0):
-        raise DomainError("epsilon", f"{eps!r} is too small: the exact dissolution time overflows")
-    return t0
-
-
-def _checked_branch(eps: float, lowest: float, highest: float):
-    """radius_at's checks on its smallest and largest time.  Returns the
-    branch (None for eps = 0) and t0 (infinite where the radius never vanishes)."""
-    if not (math.isfinite(eps) and math.isfinite(lowest) and math.isfinite(highest)):
-        raise DomainError("t" if math.isfinite(eps) else "epsilon", "must be finite")
-    if lowest < 0:
-        raise DomainError("t", f"must be non-negative, got {lowest!r}")
-    if eps == 0:
-        return None, math.inf
-    branch = _branch(eps)
-    t0 = branch.time(0.0) if eps > 0 else math.inf
-    if highest > t0 * (1.0 + 1e-12):
-        raise PastDissolutionError(highest, t0)
-    return branch, t0
+    return dissolution_time(eps, lambda e: _branch(e).time(0.0), "exact")
 
 
 def radius_at(eps: float, t):
     """Radius at a given dimensionless time, by inverting the implicit relation.
 
-    ``t`` is a float or an array of times (which returns an array).  For
-    eps > 0 no time may exceed the complete-dissolution time; such queries
-    raise ``PastDissolutionError``.
+    ``t`` is a float or an array of times (which returns an array), checked
+    by ``query_times``.  For eps > 0 no time may exceed the
+    complete-dissolution time; such queries raise ``PastDissolutionError``.
     """
-    if not isinstance(t, (float, int)) and ndim(t):
-        return _radius_array(eps, t)
-    t = float(t)
-    branch, t0 = _checked_branch(eps, t, t)
-    if t >= t0:
-        return 0.0
-    if branch is None or _initial(eps, t):
-        return 1.0
-    return branch.radius(_offset_at(branch, t), t)
-
-
-def _radius_array(eps: float, t):
-    import numpy as np
-    t = np.asarray(t, dtype=float)
-    branch, t0 = _checked_branch(eps, *((float(t.min()), float(t.max())) if t.size else (0, 0)))
-    radii = np.where(t >= t0, 0.0, 1.0)
+    check_epsilon(eps)
+    xp, t, _, last = query_times(t)
+    branch = _branch(eps) if eps != 0 else None
+    t0 = branch.time(0.0) if eps > 0 else math.inf
+    check_not_past(last, t0)
+    if xp is FLOAT_OPS:
+        if t >= t0:
+            return 0.0
+        if branch is None or _initial(eps, t):
+            return 1.0
+        return branch.radius(_offset_at(branch, t), t)
+    radii = xp.where(t >= t0, 0.0, 1.0)
     if branch is not None:
-        xp = array_ops()
         solve = (t < t0) & ~_initial(eps, t, xp)
         times = t[solve]
         radii[solve] = branch.radius(_offset_at(branch, times, xp), times, xp)
@@ -331,9 +285,11 @@ def exact_curve(eps: float, n: int = 256, t_max: float | None = None) -> RadiusC
     """
     import numpy as np
     check_grid(eps, n, t_max)
-    metadata = {"samples": n, "parameter_grid": "geometric", "t_max": t_max}
-    if eps == 0 or (eps < 0 and t_max + 2.0 * math.sqrt(t_max) <= _ROUNDS_TO_ONE / -eps):
-        # no growth, or growth that rounds away: the curve of ones
+    # no growth, or growth that rounds away: the curve of ones, uniform in t
+    ones = eps == 0 or (eps < 0 and t_max + 2.0 * math.sqrt(t_max) <= _ROUNDS_TO_ONE / -eps)
+    metadata = {"samples": n, "parameter_grid": "uniform" if ones else "geometric",
+                "t_max": t_max}
+    if ones:
         times = np.linspace(0.0, t_max, n)
         return RadiusCurve(MethodId.EXACT_QS, eps, times, np.ones(n), metadata)
 

@@ -24,11 +24,15 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .curves import MethodId, RadiusCurve
+from .curves import FLOAT_OPS, MethodId, RadiusCurve, check_end, dissolution_time, query_times
 from .errors import DomainError, IntegrationError
 
 if TYPE_CHECKING:
     from . import _dop853
+
+#: A time at the span's end whose square root rounds above ``tau_end`` still
+#: answers with the run's last radius.
+_SQRT_ROUNDING = 1.0 + 1e-12
 
 
 @dataclass(frozen=True)
@@ -85,21 +89,19 @@ class RadiusIntegration:
         span's end the radius is the run's last one (``min_radius`` after a
         stop at the floor), not the interpolant's rounding there.
         """
-        if np.ndim(t):
-            radii = [self._radius(float(x)) for x in np.ravel(t)]
-            return np.array(radii, dtype=float).reshape(np.shape(t))
-        return self._radius(float(t))
+        xp, t, _, _ = query_times(t)
+        if xp is FLOAT_OPS:
+            return self._radius(t)
+        return np.array([self._radius(x) for x in t.ravel().tolist()]).reshape(t.shape)
 
     def _radius(self, t: float) -> float:
-        if not math.isfinite(t) or t < 0:
-            raise DomainError("t", f"must be a non-negative finite time, got {t!r}")
         tau = math.sqrt(t)
         if tau < self._tau_end:
             return math.sqrt(max(self._interpolant(tau), 0.0))
         dissolved = self.dissolution_time is not None
         if dissolved and self.t_end < t <= self.dissolution_time * (1.0 + 1e-9):
             return 0.0
-        if tau <= self._tau_end * (1.0 + 1e-12):
+        if tau <= self._tau_end * _SQRT_ROUNDING:
             return float(self.curve.radii[-1])  # at the span's end, or past it by sqrt round-off
         raise DomainError("t", f"t={t!r} is outside the integrated span (<= {self.t_end:.6g})")
 
@@ -128,21 +130,13 @@ def integrate_radius(
     comes first) and reports the extrapolated complete-dissolution time.
     For eps <= 0 a ``t_end`` is required since nothing ever stops the run.
     """
-    if not math.isfinite(eps):
-        raise DomainError("epsilon", "must be finite")
+    check_end(eps, t_end, "t_end")
     if config is None:
         config = IntegratorConfig()
-    if t_end is not None and (not math.isfinite(t_end) or t_end <= 0):
-        raise DomainError("t_end", f"must be positive, got {t_end!r}")
-    if eps <= 0 and t_end is None:
-        raise DomainError("t_end", "required for epsilon <= 0 (integration never stops itself)")
 
     if eps > 0:
         # complete dissolution always happens before the steady-flux bound 1/(2 eps)
-        t_cap = 0.5 / eps
-        if math.isinf(t_cap):
-            raise DomainError("epsilon", f"{eps!r} is too small: the dissolution time overflows")
-        tau_cap = math.sqrt(t_cap) * (1.0 + 1e-9)
+        tau_cap = math.sqrt(dissolution_time(eps, lambda e: 0.5 / e, "ode")) * (1.0 + 1e-9)
         tau_bound = min(tau_cap, math.sqrt(t_end)) if t_end is not None else tau_cap
     else:
         tau_bound = math.sqrt(t_end)
@@ -161,7 +155,7 @@ def integrate_radius(
     ys = [y]
     rows = []
     rejected = 0
-    dissolution_time = None
+    t_dissolved = None
     while tau < tau_bound:
         if len(rows) >= config.max_steps:
             raise IntegrationError(
@@ -185,7 +179,7 @@ def integrate_radius(
             tau_stop = _dop853.crossing(row, tau, tau_new, floor_sq)
             taus[-1] = tau_stop
             ys[-1] = floor_sq
-            dissolution_time = tau_stop**2 + floor_sq / (2.0 * eps)
+            t_dissolved = tau_stop**2 + floor_sq / (2.0 * eps)
             break
         tau, y = tau_new, y_new
 
@@ -200,11 +194,11 @@ def integrate_radius(
             "rel_tol": config.rel_tol,
             "abs_tol": config.abs_tol,
             "min_radius": config.min_radius,
-            "dissolution_time": dissolution_time,
+            "dissolution_time": t_dissolved,
             "steps": len(rows),
             "rejected": rejected,
             "nfev": rate.nfev,
         },
     )
     interpolant = _dop853.DenseOutput(taus, rows)
-    return RadiusIntegration(eps, curve, interpolant, taus[-1], dissolution_time)
+    return RadiusIntegration(eps, curve, interpolant, taus[-1], t_dissolved)

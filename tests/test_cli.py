@@ -322,6 +322,17 @@ class TestNondim:
 
 
 class TestPdeCommand:
+    @pytest.mark.parametrize("argv, param", [
+        (["--epsilon", "1e-320"], "epsilon"),  # the default horizon 1/(2 eps) overflows
+        (["--epsilon", "0.1", "--rhat-max", "inf"], "rhat_max"),
+        (["--epsilon", "0.1", "--rhat-max", "1e140"], "rhat_max"),  # stretching too steep
+    ])
+    def test_unusable_horizon_or_domain_is_a_one_line_domain_error(self, capsys, argv, param):
+        code, out, err = run_cli(capsys, "pde", "--rho-ratio", "1", *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"{param}: ") and err.count("\n") == 1
+
     def test_summary_json(self, capsys, tmp_path):
         curve_path = tmp_path / "pde.csv"
         code, out, _ = run_cli(

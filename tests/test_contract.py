@@ -1,0 +1,123 @@
+"""The query contract of ``spherediss.curves``, seen from every layer.
+
+Each rule (valid times, no time past t0, when a dissolution time exists,
+when an end time is required) is written once, so every layer that answers
+a query refuses the same input with the same one-line message.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from spherediss import (
+    DomainError,
+    MethodId,
+    PastDissolutionError,
+    PdeConfig,
+    approx_radius,
+    approx_t0,
+    blended_t0,
+    duda_t0,
+    exact_curve,
+    integrate_radius,
+    intuitive_t0,
+    radius_at,
+    solve_moving_boundary,
+    time_to_dissolution,
+)
+
+EXPLICIT_METHODS = [MethodId.QSS, MethodId.SMALL_TIME, MethodId.INTUITIVE,
+                    MethodId.DUDA_VRENTAS, MethodId.BLENDED]
+T0_METHODS = [MethodId.EXACT_QS] + EXPLICIT_METHODS
+
+
+def _message(call) -> str:
+    with pytest.raises(DomainError) as info:
+        call()
+    return str(info.value)
+
+
+@pytest.fixture(scope="module")
+def ode_run():
+    return integrate_radius(0.1)
+
+
+class TestTimes:
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("as_array", [False, True], ids=["float", "array"])
+    def test_every_layer_refuses_a_bad_time_alike(self, ode_run, bad, as_array):
+        t = np.array([0.5, bad, 0.25]) if as_array else bad
+        expected = f"t: must be a non-negative finite time, got {bad!r}"
+        queries = [lambda: radius_at(0.1, t), lambda: radius_at(-0.2, t),
+                   lambda: radius_at(0.0, t), lambda: ode_run.radius_at(t)]
+        queries += [lambda m=m: approx_radius(m, 0.1, t) for m in EXPLICIT_METHODS]
+        for query in queries:
+            assert _message(query) == expected
+
+    @pytest.mark.parametrize("method", [MethodId.EXACT_QS, MethodId.QSS, MethodId.INTUITIVE,
+                                        MethodId.DUDA_VRENTAS])
+    def test_past_t0_allows_only_rounding(self, method):
+        def query(t):
+            if method is MethodId.EXACT_QS:
+                return radius_at(0.1, t)
+            return approx_radius(method, 0.1, t)
+
+        t0 = approx_t0(method, 0.1)
+        assert query(t0 * (1.0 + 5e-13)) == 0.0
+        assert query(np.array([0.0, t0 * (1.0 + 5e-13)]))[-1] == 0.0
+        for late in (t0 * (1.0 + 1e-11), np.array([0.0, t0 * (1.0 + 1e-11)])):
+            with pytest.raises(PastDissolutionError) as info:
+                query(late)
+            assert (info.value.t0, info.value.method) == (t0, method.value)
+
+
+class TestDissolutionTime:
+    @pytest.mark.parametrize("eps", [0.0, -0.1])
+    def test_no_t0_without_dissolution(self, eps):
+        entries = [lambda: time_to_dissolution(eps), lambda: intuitive_t0(eps),
+                   lambda: duda_t0(eps), lambda: blended_t0(eps)]
+        entries += [lambda m=m: approx_t0(m, eps) for m in T0_METHODS]
+        for entry in entries:
+            assert _message(entry) == "epsilon: dissolution never completes for epsilon <= 0"
+
+    def test_overflowing_t0_is_refused_by_every_entry(self):
+        eps = 1e-320
+        entries = {
+            "exact": [lambda: time_to_dissolution(eps)],
+            "intuitive": [lambda: intuitive_t0(eps)],
+            "duda": [lambda: duda_t0(eps)],
+            "blended": [lambda: blended_t0(eps)],
+            "ode": [lambda: integrate_radius(eps)],
+            "pde": [lambda: solve_moving_boundary(eps, 1.0)],  # its default horizon
+        }
+        for method in T0_METHODS:
+            entries.setdefault(method.value, []).append(lambda m=method: approx_t0(m, eps))
+        for name, calls in entries.items():
+            for entry in calls:
+                assert _message(entry) == (
+                    f"epsilon: 1e-320 is too small: the {name} dissolution time overflows")
+
+
+class TestEndTimes:
+    @pytest.mark.parametrize("eps", [0.0, -0.1])
+    def test_an_end_is_required_without_dissolution(self, eps):
+        for param, entry in [("t_max", lambda: exact_curve(eps, 8)),
+                             ("t_end", lambda: integrate_radius(eps)),
+                             ("t_end", lambda: solve_moving_boundary(eps, 1.0))]:
+            assert _message(entry) == (
+                f"{param}: required for epsilon <= 0 (no finite endpoint)")
+
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf])
+    def test_an_end_must_be_positive_and_finite(self, bad):
+        for param, entry in [("t_max", lambda: exact_curve(0.1, 8, bad)),
+                             ("t_end", lambda: integrate_radius(0.1, bad))]:
+            assert _message(entry) == f"{param}: must be positive, got {bad!r}"
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_a_non_finite_epsilon_is_refused_alike(self, eps):
+        for entry in [lambda: exact_curve(eps, 8, 1.0), lambda: integrate_radius(eps, 1.0),
+                      lambda: solve_moving_boundary(eps, 1.0, PdeConfig(t_end=1.0)),
+                      lambda: radius_at(eps, 1.0), lambda: time_to_dissolution(eps),
+                      lambda: approx_t0(MethodId.QSS, eps)]:
+            assert _message(entry) == "epsilon: must be finite"

@@ -22,11 +22,8 @@ from spherediss import (
 )
 from spherediss.exact import (
     _branch,
+    _time,
     array_ops,
-    _time_critical,
-    _time_dissolution,
-    _time_growth,
-    _time_supercritical,
 )
 
 # erfc(sqrt(pi)) to 20 digits, computed independently with mpmath
@@ -90,7 +87,7 @@ class TestGrowthBranch:
         for eps in (-0.01, -0.5):
             k = branch_exponent(eps)
             for p in np.geomspace(1.0 + 1e-3, 1e8, 1000):
-                direct = _time_growth(eps, p)
+                direct = _time(eps, p)
                 via_coth = math.exp(2.0 * k * math.atanh(1.0 / p)) / (
                     (-eps) * (2.0 - eps) * (p * p - 1.0)
                 )
@@ -106,7 +103,7 @@ class TestGrowthBranch:
             reference = ((pm + 1) / (pm - 1)) ** k / (
                 mp.mpf("0.1") * mp.mpf("2.1") * (pm * pm - 1)
             )
-            assert _time_growth(eps, float(p)) == pytest.approx(float(reference), rel=1e-12)
+            assert _time(eps, float(p)) == pytest.approx(float(reference), rel=1e-12)
 
 
 class TestSupercriticalBranch:
@@ -163,11 +160,11 @@ class TestMonotoneParameterization:
     @pytest.mark.parametrize(
         "time_of,lower",
         [
-            (lambda p: _time_dissolution(0.1, p), extinction_parameter(0.1)),
-            (lambda p: _time_dissolution(1.9, p), extinction_parameter(1.9)),
-            (lambda p: _time_growth(-0.5, p), 1.0),
-            (lambda p: _time_supercritical(5.0, p), extinction_parameter(5.0)),
-            (_time_critical, 0.0),
+            (lambda p: _time(0.1, p), extinction_parameter(0.1)),
+            (lambda p: _time(1.9, p), extinction_parameter(1.9)),
+            (lambda p: _time(-0.5, p), 1.0),
+            (lambda p: _time(5.0, p), extinction_parameter(5.0)),
+            (lambda p: _time(2.0, p), 0.0),
         ],
     )
     def test_time_strictly_decreasing(self, time_of, lower):
@@ -249,12 +246,7 @@ class TestRadiusAt:
             t_ref = 0.7 * time_to_dissolution(eps) if eps > 0 else 5.0
             radius = radius_at(eps, t_ref)
             p = reconstruct(radius / math.sqrt(t_ref))
-            if eps > 0 and eps < 2:
-                t_back = _time_dissolution(eps, p)
-            elif eps < 0:
-                t_back = _time_growth(eps, p)
-            else:
-                t_back = _time_supercritical(eps, p)
+            t_back = _time(eps, p)
             assert abs(t_back - t_ref) <= 1e-9 * max(1.0, t_ref)
 
 
@@ -271,6 +263,14 @@ class TestExactCurve:
         assert np.all(curve.radii == 1.0)
         assert len(curve) == 10
 
+    @pytest.mark.parametrize("eps", [0.0, -1e-320])
+    def test_curve_of_ones_is_labelled_uniform(self, eps):
+        # no growth, or growth that rounds away: times are linspace(0, t_max, n)
+        curve = exact_curve(eps, 4, 1.0)
+        assert curve.metadata["parameter_grid"] == "uniform"
+        assert curve.times.tolist() == np.linspace(0.0, 1.0, 4).tolist()
+        assert exact_curve(-0.1, 4, 1.0).metadata["parameter_grid"] == "geometric"
+
     def test_growth_curve_matches_oracle(self):
         curve = exact_curve(-0.01, 100, t_max=400.0)
         assert np.all(np.diff(curve.radii) > 0)
@@ -283,7 +283,7 @@ class TestExactCurve:
         for t, radius in list(curve.samples)[:-1]:
             u = radius / math.sqrt(t)
             p = (u + 0.3) / math.sqrt(0.3 * 1.7)
-            assert abs(_time_dissolution(0.3, p) - t) <= 1e-12 * max(1.0, t)
+            assert abs(_time(0.3, p) - t) <= 1e-12 * max(1.0, t)
 
     def test_t_max_caps_dissolution_curve(self):
         curve = exact_curve(0.1, 50, t_max=1.0)

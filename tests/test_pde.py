@@ -15,7 +15,14 @@ from spherediss import (
 )
 from spherediss import _bdf
 from spherediss.errors import IntegrationError
-from spherediss.pde import _factor, _mapped_system, _solute_drift, _surface_flux_weights
+from spherediss.pde import (
+    _CELLS_PER_WIDTH,
+    _build_grid,
+    _factor,
+    _mapped_system,
+    _solute_drift,
+    _surface_flux_weights,
+)
 
 
 class TestConfigValidation:
@@ -24,7 +31,7 @@ class TestConfigValidation:
         [
             {"nodes": 50},
             {"rhat_max": 5.0},
-            {"stretch_ratio": 0.9},
+            {"rhat_max": math.inf},
             {"rel_tol": 0.0},
             {"abs_tol": 1.0},
             {"t_init": 0.0},
@@ -91,12 +98,23 @@ class TestMaximumPrinciple:
 
 
 class TestMeshControls:
-    def test_coarse_mesh_rejected_at_startup(self):
-        # a near-uniform grid cannot resolve the startup boundary layer
-        with pytest.raises(DomainError, match="mesh too coarse"):
-            solve_moving_boundary(
-                0.1, 1.0, PdeConfig(t_end=1.0, stretch_ratio=1.0000001, nodes=100)
-            )
+    @pytest.mark.parametrize("ratio", np.linspace(1.0, 4.0, 31))
+    def test_startup_flux_within_5_percent_for_every_stretching(self, ratio):
+        # The first cell is the startup width over _CELLS_PER_WIDTH, whatever ratio
+        # q in [1, 4] the grid takes.  In units of that width the startup profile
+        # is erfc(s), with surface slope -2/sqrt(pi).
+        h0 = 1.0 / _CELLS_PER_WIDTH
+        x = np.array([0.0, h0, h0 + ratio * h0])
+        flux = np.dot(_surface_flux_weights(x), [math.erfc(s) for s in x])
+        assert abs(flux / (-2.0 / math.sqrt(math.pi)) - 1.0) <= 0.05
+
+    @pytest.mark.parametrize("rhat_max", [10.0, 1e3, 1e10, 1e40, 1e100])
+    def test_grid_keeps_the_first_cell_within_the_ratio_range(self, rhat_max):
+        h0 = 1e-3 / _CELLS_PER_WIDTH
+        x, ratio = _build_grid(rhat_max, 241, h0)
+        assert 1.0 <= ratio <= 4.0
+        assert x[0] == 1.0 and x[-1] == rhat_max
+        assert x[1] - x[0] <= h0 * (1.0 + 1e-9)
 
     def test_grid_self_convergence(self):
         eps = 0.01
