@@ -50,12 +50,6 @@ _BLEND_SCAN_POINTS = 4096
 _BLEND_T0_REL_TOL = 1e-12
 
 
-def _check_eps(eps: float, nonzero: bool = False) -> None:
-    check_epsilon(eps)
-    if nonzero and eps == 0:
-        raise DomainError("epsilon", "this formula is undefined at epsilon = 0")
-
-
 def _qss(eps, t, xp):
     return xp.sqrt(xp.maximum(1.0 - 2.0 * eps * t, 0.0))
 
@@ -128,7 +122,9 @@ def blend_alpha(eps: float, allow_extrapolation: bool = False) -> BlendWeight:
     log10(eps) on 0.1 <= eps <= 0.5 (inclusive at both ends), and a rational
     form in |eps| on -0.5 <= eps < 0.
     """
-    _check_eps(eps, nonzero=True)
+    check_epsilon(eps)
+    if eps == 0:
+        raise DomainError("epsilon", "the blended fit is undefined at epsilon = 0")
     if not FIT_RANGE[0] <= eps <= FIT_RANGE[1]:
         if not allow_extrapolation:
             raise EpsilonRangeError(
@@ -221,11 +217,12 @@ def _radius(method: MethodId, eps: float, t, allow_extrapolation: bool = False):
     method's epsilon domain, the time checks, its end-time rule and its formula."""
     formula, blended = _FORMULAS.get(method), method is MethodId.BLENDED
     if blended:
-        alpha = blend_alpha(eps, allow_extrapolation).alpha
+        # the fit is undefined at eps = 0, where every weight gives R = 1
+        alpha = blend_alpha(eps, allow_extrapolation).alpha if eps != 0 else 0.0
     elif formula is None:
         raise DomainError("method", f"{method.value!r} is not an explicit approximation")
     else:
-        _check_eps(eps, nonzero=method in (MethodId.INTUITIVE, MethodId.DUDA_VRENTAS))
+        check_epsilon(eps)
     xp, t, _, last = query_times(t)
     if blended:
         past = eps > 0 and t >= blended_t0(eps, allow_extrapolation)

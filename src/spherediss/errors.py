@@ -38,7 +38,7 @@ class PastDissolutionError(DomainError):
         self.method = method
         super().__init__(
             "t",
-            f"t={t:g} is past the {method} complete-dissolution time t0={t0:.6g}",
+            f"t={float(t)!r} is past the {method} complete-dissolution time t0={float(t0)!r}",
         )
 
 

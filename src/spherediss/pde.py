@@ -26,7 +26,9 @@ maximum principle); sigma = 1 + z^2/3 + ... keeps the right-hand side
 smooth through R' = 0.  Time integration is the variable-order BDF of
 ``_bdf`` with the radius carried as an extra state variable.  The analytic
 Jacobian is a tridiagonal band plus a border, so each Newton solve is one
-LAPACK tridiagonal solve and a 2x2 system; no sparse matrix is built.
+LAPACK tridiagonal solve and a 2x2 system; no sparse matrix is built.  Of
+scipy only the extension with LAPACK's tridiagonal routines is loaded, from
+its file, without the ``scipy.linalg`` package (see ``_lapack``).
 
 The run starts from the analytic short-time profile at a small positive
 time, which sidesteps the incompatible initial/boundary data at t = 0.
@@ -34,8 +36,12 @@ time, which sidesteps the incompatible initial/boundary data at t = 0.
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from typing import Sequence
 
 import numpy as np
@@ -254,6 +260,35 @@ def _mapped_system(x: np.ndarray, eps: float, beta: float):
     return rhs, jac
 
 
+@functools.cache
+def _lapack():
+    """LAPACK's ``dgttrf`` and ``dgttrs``, loaded once per process.
+
+    They live in the extension ``scipy.linalg._flapack``.  Loading it from its
+    file with the import system's finder skips the ``scipy.linalg`` package
+    init, most of a solver's cold start; the module is registered under its
+    name, so a later ``import scipy.linalg`` reuses it, and a copy already
+    loaded is used as it is.  If the file is not found or does not load, the
+    routines come from ``scipy.linalg.lapack``: the same objects.
+    """
+    name = "scipy.linalg._flapack"
+    try:
+        module = sys.modules.get(name)
+        if module is None:
+            location = importlib.util.find_spec("scipy.linalg").submodule_search_locations[0]
+            spec = FileFinder(location, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+            if spec is None:
+                raise ImportError(f"no {name} extension in {location}")
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[name] = module
+            spec.loader.exec_module(module)
+    except ImportError:
+        sys.modules.pop(name, None)
+        from scipy.linalg.lapack import dgttrf, dgttrs
+        return dgttrf, dgttrs
+    return module.dgttrf, module.dgttrs
+
+
 def _factor(parts, c: float):
     """Factor I - c J from the parts ``jac`` returns; return the solver of I - c J.
 
@@ -262,8 +297,7 @@ def _factor(parts, c: float):
     tridiagonal LU and two border solves here leave each solve one
     tridiagonal solve and a 2x2 system for g.w and R.
     """
-    from scipy.linalg.lapack import dgttrf, dgttrs
-
+    dgttrf, dgttrs = _lapack()
     band, by_q, (g0, g1), r_col, (l0, l1, l_r) = parts
     lu = dgttrf(-c * band[0, 1:], 1.0 - c * band[1], -c * band[2, :-1])[:5]
     zu, zr = (dgttrs(*lu, column)[0] for column in (by_q, r_col))
@@ -332,7 +366,7 @@ def solve_moving_boundary(
     w0 = np.array([math.erfc(v) for v in (x - 1.0) * r_init * math.sqrt(math.pi / (4.0 * t_init))])
     w0[0], w0[-1] = 1.0, 0.0
 
-    # the stepper (and with it scipy's LAPACK) loads with the first solve, not with the package
+    # the stepper loads with the first solve, not with the package; LAPACK with the first factor
     from . import _bdf
 
     rhs, jac = _mapped_system(x, eps, beta)

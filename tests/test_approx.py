@@ -71,9 +71,8 @@ class TestIntuitive:
         assert intuitive_radius(0.2, 0.0) == 1.0
         assert intuitive_radius(-0.2, 0.0) == 1.0
 
-    def test_rejects_zero_epsilon_and_past_t0(self):
-        with pytest.raises(DomainError):
-            intuitive_radius(0.0, 1.0)
+    def test_zero_epsilon_and_past_t0(self):
+        assert intuitive_radius(0.0, 1.0) == 1.0
         with pytest.raises(PastDissolutionError):
             intuitive_radius(0.1, 4.2)
         with pytest.raises(DomainError):
@@ -96,8 +95,7 @@ class TestDuda:
     def test_past_t0_and_zero_epsilon(self):
         with pytest.raises(PastDissolutionError):
             duda_radius(0.1, 2.2)
-        with pytest.raises(DomainError):
-            duda_radius(0.0, 1.0)
+        assert duda_radius(0.0, 1.0) == 1.0
 
 
 class TestBlendWeight:
@@ -173,6 +171,34 @@ class TestBlendedRadius:
             blended_radius(0.6, 1.0)
         with pytest.raises(DomainError):
             blended_t0(-0.1)
+
+
+class TestZeroEpsilon:
+    """At eps = 0 every explicit formula is the static radius R = 1."""
+
+    @pytest.mark.parametrize("method", [MethodId.QSS, MethodId.SMALL_TIME, MethodId.INTUITIVE,
+                                        MethodId.DUDA_VRENTAS, MethodId.BLENDED])
+    def test_radius_is_one_for_float_and_array_times(self, method):
+        radius = approx_radius(method, 0.0, 7.5)
+        assert type(radius) is float and radius == 1.0
+        times = np.array([0.0, 1e-3, 2.0, 1e6])
+        assert approx_radius(method, 0.0, times).tolist() == [1.0] * 4
+        assert approx_curve(method, 0.0, 16, t_max=2.0).radii.tolist() == [1.0] * 16
+
+    def test_wrappers(self):
+        assert intuitive_radius(0.0, 3.0) == duda_radius(0.0, 3.0) == blended_radius(0.0, 3.0) == 1.0
+        assert blended_radius(-0.0, 3.0) == 1.0
+
+    def test_the_blended_weight_stays_undefined(self):
+        with pytest.raises(DomainError) as info:
+            blend_alpha(0.0)
+        assert info.value.param == "epsilon"
+
+    @pytest.mark.parametrize("method", [MethodId.INTUITIVE, MethodId.DUDA_VRENTAS,
+                                        MethodId.BLENDED])
+    def test_non_finite_epsilon_is_still_refused(self, method):
+        with pytest.raises(DomainError):
+            approx_radius(method, math.nan, 1.0)
 
 
 class TestDissolutionTimeDispatch:

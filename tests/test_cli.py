@@ -119,6 +119,17 @@ def test_negative_subnormal_epsilon_gives_the_curve_of_ones(capsys, method, eps)
     assert [float(radius) for _, radius in rows] == [1.0] * 8
 
 
+@pytest.mark.parametrize("method", ["intuitive", "duda", "blended"])
+def test_zero_epsilon_gives_the_curve_of_ones(capsys, method):
+    # these formulas give R = 1 at epsilon = 0, as exact, qss, small-time and ode do
+    code, out, err = run_cli(capsys, "curve", "--epsilon", "0", "--method", method,
+                             "--t-max", "2", "--samples", "8")
+    assert code == 0, err
+    header, rows = parse_csv(out)
+    assert header == ["t", method]
+    assert [float(radius) for _, radius in rows] == [1.0] * 8
+
+
 class TestInvert:
     def test_published_value(self, capsys):
         code, out, _ = run_cli(capsys, "invert", "--epsilon", "0.1", "--t", "1.83532")
@@ -130,6 +141,13 @@ class TestInvert:
         code, _, err = run_cli(capsys, "invert", "--epsilon", "0.1", "--t", "50")
         assert code == 3
         assert err.startswith("t:")
+
+    def test_time_just_past_t0_is_told_apart_from_it(self, capsys):
+        # t0 = 2.69710715...; six significant digits would print both as 2.69711
+        code, _, err = run_cli(capsys, "invert", "--epsilon", "0.1", "--t", "2.697114")
+        assert code == 3
+        assert err.strip() == ("t: t=2.697114 is past the exact complete-dissolution time "
+                               f"t0={spherediss.time_to_dissolution(0.1)!r}")
 
 
 class TestCompare:
@@ -445,6 +463,39 @@ with contextlib.redirect_stdout(io.StringIO()):
                           "['scipy', 'special'])))")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    LAPACK_STATE = "print('scipy.linalg' in sys.modules, 'scipy.linalg._flapack' in sys.modules)"
+
+    @pytest.mark.parametrize("work", [
+        "sd.solve_moving_boundary(0.1, 1.0, sd.PdeConfig(t_end=1e-3))\n",
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['pde', '--epsilon', '0.1', '--rho-ratio', '1', '--t-end', '1e-3']) == 0\n",
+    ], ids=["solve", "pde-command"])
+    def test_lapack_loads_without_the_scipy_linalg_package(self, work):
+        # _flapack is loaded from its file; scipy.linalg's package init never runs
+        proc = run_python("import contextlib, io, sys\nimport spherediss as sd\n"
+                          "from spherediss.cli import main\n" + work + self.LAPACK_STATE)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False True"
+
+    def test_a_later_scipy_linalg_import_reuses_the_loaded_routines(self):
+        code = """
+import sys
+import spherediss as sd
+from spherediss import pde
+solve = lambda: sd.solve_moving_boundary(0.1, 1.0, sd.PdeConfig(t_end=0.05))
+first = solve()
+from scipy.linalg import lapack
+assert pde._lapack()[0] is lapack.dgttrf and pde._lapack()[1] is lapack.dgttrs
+assert lapack._flapack is sys.modules['scipy.linalg._flapack']
+second = solve()
+same = [a.tobytes() == b.tobytes() for a, b in ((first.curve.times, second.curve.times),
+                                                (first.curve.radii, second.curve.radii))]
+print(same, first.curve.times.size > 10)
+"""
+        proc = run_python(code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[True, True] True"
 
 
 class TestLazyImports:

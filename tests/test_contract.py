@@ -71,6 +71,20 @@ class TestTimes:
                 query(late)
             assert (info.value.t0, info.value.method) == (t0, method.value)
 
+    @pytest.mark.parametrize("method", [MethodId.EXACT_QS, MethodId.QSS])
+    def test_past_t0_message_tells_the_two_times_apart(self, method):
+        # a time one part in 1e11 past t0 still reads differently from t0, for a float or an array
+        t0 = approx_t0(method, 0.1)
+        late = t0 * (1.0 + 1e-11)
+        for query in (late, np.array([0.0, late])):
+            with pytest.raises(PastDissolutionError) as info:
+                if method is MethodId.EXACT_QS:
+                    radius_at(0.1, query)
+                else:
+                    approx_radius(method, 0.1, query)
+            assert str(info.value) == (f"t: t={late!r} is past the {method.value} "
+                                       f"complete-dissolution time t0={t0!r}")
+
 
 class TestDissolutionTime:
     @pytest.mark.parametrize("eps", [0.0, -0.1])

@@ -1,5 +1,8 @@
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from spherediss.pde import (
     _CELLS_PER_WIDTH,
     _build_grid,
     _factor,
+    _lapack,
     _mapped_system,
     _solute_drift,
     _surface_flux_weights,
@@ -259,6 +263,51 @@ class TestFittedScheme:
                 scale = np.linalg.norm(matrix, np.inf) * np.linalg.norm(got, np.inf)
                 assert residual <= 1e-12 * scale, (eps, ratio, c)
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (eps, ratio, c)
+
+
+class TestLapackLoader:
+    """``_factor`` takes LAPACK from ``scipy.linalg._flapack``, loaded from its file;
+    the fallback through ``scipy.linalg.lapack`` must give the same bits."""
+
+    @staticmethod
+    def _solutions():
+        rng = np.random.default_rng(11)
+        out = []
+        for eps, ratio, x, y in TestFittedScheme._jacobian_cases():
+            parts = _mapped_system(x, eps, 1.0 - ratio)[1](0.0, y)
+            b = rng.standard_normal(y.size)
+            out += [_factor(parts, c)(b) for c in (1e-6, 1e-3, 1.0)]
+        return out
+
+    @pytest.mark.parametrize("failure", ["lookup", "no file"])
+    def test_fallback_is_bit_identical(self, monkeypatch, tmp_path, failure):
+        from scipy.linalg import lapack
+
+        _lapack.cache_clear()
+        direct = self._solutions()
+        calls = []
+
+        def lookup(name, *args):
+            calls.append(name)
+            if failure == "lookup":
+                raise ImportError(f"no {name}")
+            spec = importlib.machinery.ModuleSpec(name, None, is_package=True)
+            spec.submodule_search_locations.append(str(tmp_path))  # holds no extension
+            return spec
+
+        monkeypatch.setattr(importlib.util, "find_spec", lookup)
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        try:
+            _lapack.cache_clear()
+            dgttrf, dgttrs = _lapack()
+            assert dgttrf is lapack.dgttrf and dgttrs is lapack.dgttrs
+            assert calls == ["scipy.linalg"]
+            fallback = self._solutions()
+        finally:
+            _lapack.cache_clear()
+        assert len(direct) == len(fallback) == 21
+        for want, got in zip(direct, fallback):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestResultOutputs:
