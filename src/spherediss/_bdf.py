@@ -37,6 +37,16 @@ def _rms(x: np.ndarray) -> float:
     return math.sqrt(float(np.dot(x, x)) / x.size)
 
 
+def _scale(y: np.ndarray, rtol: float, atol: float, out: np.ndarray) -> np.ndarray:
+    """The error scale atol + rtol |y|, formed in ``out``."""
+    return np.add(np.multiply(np.abs(y, out=out), rtol, out=out), atol, out=out)
+
+
+def _error_norm(const, x: np.ndarray, scale: np.ndarray, out: np.ndarray) -> float:
+    """RMS of const x / scale, formed in ``out``."""
+    return _rms(np.divide(np.multiply(x, const, out=out), scale, out=out))
+
+
 def _step_change(order: int, factor: float) -> np.ndarray:
     """Matrix R of Shampine & Reichelt that maps differences to step h * factor."""
     i = np.arange(1, order + 1)[:, None]
@@ -111,6 +121,8 @@ def integrate(fun, jac, factor, t0: float, y0: np.ndarray, t_bound: float,
 
     ``jac(t, y)`` returns the Jacobian in whatever form ``factor(J, c)``
     takes; ``factor`` returns a function that solves (I - c J) x = b for x.
+    The stepper keeps what ``fun``, ``jac`` and the solve return, so they
+    must return arrays that no later call overwrites.
     With a ``floor`` the run stops where the state's last component falls to
     it, found by bisection on the crossing step's interpolant.  The states at
     ``t_eval`` come from the interpolant of the step that covers each time.
@@ -132,6 +144,7 @@ def integrate(fun, jac, factor, t0: float, y0: np.ndarray, t_bound: float,
     D = np.zeros((MAX_ORDER + 3, y.size))
     D[0] = y
     D[1] = f * h_abs
+    scale, scaled = np.empty(y.size), np.empty(y.size)  # error scale, error-norm work
     order = 1
     n_equal_steps = 0
 
@@ -161,7 +174,7 @@ def integrate(fun, jac, factor, t0: float, y0: np.ndarray, t_bound: float,
             h_abs = t_new - t
 
             y_predict = D[:order + 1].sum(axis=0)
-            scale = atol + rtol * np.abs(y_predict)
+            scale = _scale(y_predict, rtol, atol, scale)
             psi = GAMMA[1:order + 1] @ D[1:order + 1] / ALPHA[order]
             c = h_abs / ALPHA[order]
             while True:
@@ -185,8 +198,8 @@ def integrate(fun, jac, factor, t0: float, y0: np.ndarray, t_bound: float,
                 continue
 
             safety = 0.9 * (2 * NEWTON_MAXITER + 1) / (2 * NEWTON_MAXITER + n_iter)
-            scale = atol + rtol * np.abs(y_new)
-            error_norm = _rms(ERROR_CONST[order] * d / scale)
+            scale = _scale(y_new, rtol, atol, scale)
+            error_norm = _error_norm(ERROR_CONST[order], d, scale, scaled)
             if error_norm <= 1.0:
                 break
             change = max(MIN_FACTOR, safety * error_norm ** (-1.0 / (order + 1)))
@@ -204,10 +217,10 @@ def integrate(fun, jac, factor, t0: float, y0: np.ndarray, t_bound: float,
             D[i] += D[i + 1]
 
         if n_equal_steps >= order + 1:
-            error_m = (_rms(ERROR_CONST[order - 1] * D[order] / scale) if order > 1
-                       else math.inf)
-            error_p = (_rms(ERROR_CONST[order + 1] * D[order + 2] / scale) if order < MAX_ORDER
-                       else math.inf)
+            error_m = (_error_norm(ERROR_CONST[order - 1], D[order], scale, scaled)
+                       if order > 1 else math.inf)
+            error_p = (_error_norm(ERROR_CONST[order + 1], D[order + 2], scale, scaled)
+                       if order < MAX_ORDER else math.inf)
             factors = [e ** (-1.0 / (order + k)) if e > 0 else math.inf
                        for k, e in enumerate((error_m, error_norm, error_p))]
             best = max(factors)
@@ -253,22 +266,25 @@ def _newton(fun, t_new, y_predict, c, psi, solve, scale, tol):
 
     Returns (converged, iterations, y, d) with d = y - y_predict.
     """
-    d = 0.0
+    d = np.zeros(y_predict.size)
     y = y_predict.copy()
+    work = np.empty(y.size)
     dy_norm_old = None
     converged = False
     for k in range(NEWTON_MAXITER):
-        f = fun(t_new, y)
-        if not np.isfinite(f).all():
+        np.multiply(fun(t_new, y), c, out=work)
+        work -= psi
+        work -= d
+        dy = solve(work)
+        dy_norm = _rms(np.divide(dy, scale, out=work))
+        if not math.isfinite(dy_norm):  # always so for a non-finite rate
             break
-        dy = solve(c * f - psi - d)
-        dy_norm = _rms(dy / scale)
         rate = None if dy_norm_old is None else dy_norm / dy_norm_old
         if rate is not None and (rate >= 1.0 or
                                  rate ** (NEWTON_MAXITER - k) / (1.0 - rate) * dy_norm > tol):
             break
         y += dy
-        d = d + dy
+        d += dy
         if dy_norm == 0.0 or rate is not None and rate / (1.0 - rate) * dy_norm < tol:
             converged = True
             break

@@ -209,6 +209,10 @@ def _mapped_system(x: np.ndarray, eps: float, beta: float):
     super-diagonal weights, aligned with w_{i-1}, w_i, w_{i+1}), the column
     by_q = d(dw/dt)/dq, the weights dq/dw_1, dq/dw_2 that make by_q the
     columns w_1 and w_2, the column R and the last row's three entries.
+
+    The padded w, the band and the stencil products are work arrays that every
+    call overwrites; what ``rhs`` and ``jac`` return is fresh, as the stepper
+    keeps a rate across Newton iterations and the Jacobian parts across steps.
     """
     d0, d1, d2 = _surface_flux_weights(x)
     flux_weights = (eps * d1, eps * d2)
@@ -225,9 +229,9 @@ def _mapped_system(x: np.ndarray, eps: float, beta: float):
     fit_up, fit_down = 0.5 * math.pi * adv * hp, 0.5 * math.pi * adv * hm
     w = np.zeros(x.size)
     w[0] = 1.0
-
-    def stencil(weights):
-        return weights[0] * w[:-2] + weights[1] * w[1:-1] + weights[2] * w[2:]
+    # rows w_{i-1}, w_i, w_{i+1}; np.add.reduce sums a stencil's products over them in that order
+    windows = np.lib.stride_tricks.sliding_window_view(w, xi.size)
+    band, product = np.empty_like(diffusion), np.empty_like(diffusion)
 
     def terms(y):
         w[1:-1] = y[:-1]
@@ -235,26 +239,30 @@ def _mapped_system(x: np.ndarray, eps: float, beta: float):
         fit = fit_up if q > 0.0 else fit_down
         z = q * fit
         sigma = z / np.tanh(z) if q != 0.0 else 1.0
-        return q, fit, z, sigma, sigma * diffusion + q * convection
+        np.multiply(diffusion, sigma, out=band)
+        np.add(band, np.multiply(convection, q, out=product), out=band)
+        return q, fit, z, sigma
 
     def rhs(t, y):
-        q, _, _, _, band = terms(y)
+        q = terms(y)[0]
         radius = float(y[-1])
         dy = np.empty(y.size)
-        dy[:-1] = stencil(band) / (radius * radius)
+        np.add.reduce(np.multiply(band, windows, out=product), axis=0, out=dy[:-1])
+        dy[:-1] /= radius * radius
         dy[-1] = q / radius
         return dy
 
     def jac(t, y):
-        q, fit, z, sigma, band = terms(y)
+        q, fit, z, sigma = terms(y)
         radius = float(y[-1])
         inv_r2 = 1.0 / (radius * radius)
         small = np.abs(z) < 1e-2  # dsigma/dz = (sigma - sigma^2 + z^2)/z cancels there
         slope = np.where(small, z * (2.0 / 3.0 - z * z * (4.0 / 45.0)),
                          (sigma - sigma * sigma + z * z) / np.where(small, 1.0, z))
-        by_q = (slope * fit * stencil(diffusion) + stencil(convection)) * inv_r2  # d(dw_i/dt)/dq
-        band *= inv_r2
-        return (band, by_q, flux_weights, (-2.0 / radius) * stencil(band),
+        weights = np.stack((diffusion, convection, band * inv_r2))
+        lap, conv, banded = np.add.reduce(weights * windows, axis=1)
+        by_q = (slope * fit * lap + conv) * inv_r2  # d(dw_i/dt)/dq
+        return (weights[2], by_q, flux_weights, (-2.0 / radius) * banded,
                 (flux_weights[0] / radius, flux_weights[1] / radius, -q * inv_r2))
 
     return rhs, jac
@@ -299,19 +307,20 @@ def _factor(parts, c: float):
     """
     dgttrf, dgttrs = _lapack()
     band, by_q, (g0, g1), r_col, (l0, l1, l_r) = parts
-    lu = dgttrf(-c * band[0, 1:], 1.0 - c * band[1], -c * band[2, :-1])[:5]
-    zu, zr = (dgttrs(*lu, column)[0] for column in (by_q, r_col))
+    dl, diag, du, du2, ipiv = dgttrf(-c * band[0, 1:], 1.0 - c * band[1], -c * band[2, :-1])[:5]
+    zu, zr = (dgttrs(dl, diag, du, du2, ipiv, column)[0] for column in (by_q, r_col))
     a, b = 1.0 - c * (g0 * zu[0] + g1 * zu[1]), -c * (g0 * zr[0] + g1 * zr[1])
     e, f = -c * c * (l0 * zu[0] + l1 * zu[1]), 1.0 - c * l_r - c * c * (l0 * zr[0] + l1 * zr[1])
     det = a * f - b * e
 
     def solve(rhs):
-        z = dgttrs(*lu, rhs[:-1])[0]
+        z = dgttrs(dl, diag, du, du2, ipiv, rhs[:-1])[0]
         z0, z1 = z[:2].tolist()
         gz, lz = g0 * z0 + g1 * z1, float(rhs[-1]) + c * (l0 * z0 + l1 * z1)
         alpha, radius = (f * gz - b * lz) / det, (a * lz - e * gz) / det
         out = np.empty(rhs.size)
-        out[:-1] = z + (c * alpha) * zu + (c * radius) * zr
+        body = np.add(z, np.multiply(zu, c * alpha, out=out[:-1]), out=out[:-1])
+        body += np.multiply(zr, c * radius, out=z)  # z is no longer needed
         out[-1] = radius
         return out
 

@@ -310,6 +310,129 @@ class TestLapackLoader:
             assert got.tobytes() == want.tobytes()
 
 
+def _reference_system(x, eps, beta):
+    """Right-hand side and Jacobian parts as unfused expressions: the bitwise reference."""
+    d0, d1, d2 = _surface_flux_weights(x)
+    flux_weights = (eps * d1, eps * d2)
+    xi = x[1:-1]
+    hm, hp = xi - x[:-2], x[2:] - xi
+    span = hm + hp
+    adv = xi - beta / (xi * xi)
+    diffusion = np.array([2.0 / (hm * span), -2.0 / (hm * hp), 2.0 / (hp * span)]) / math.pi
+    convection = adv * np.array([-hp / (hm * span), (hp - hm) / (hm * hp), hm / (hp * span)])
+    convection[1] -= 1.0 - beta / xi**3
+    fit_up, fit_down = 0.5 * math.pi * adv * hp, 0.5 * math.pi * adv * hm
+
+    def terms(y):
+        w = np.concatenate(([1.0], y[:-1], [0.0]))
+        q = eps * (d0 + d1 * float(y[0]) + d2 * float(y[1]) - 1.0)
+        fit = fit_up if q > 0.0 else fit_down
+        z = q * fit
+        sigma = z / np.tanh(z) if q != 0.0 else 1.0
+
+        def stencil(weights):
+            return weights[0] * w[:-2] + weights[1] * w[1:-1] + weights[2] * w[2:]
+
+        return q, fit, z, sigma, sigma * diffusion + q * convection, stencil
+
+    def rhs(t, y):
+        q, _, _, _, band, stencil = terms(y)
+        radius = float(y[-1])
+        return np.append(stencil(band) / (radius * radius), q / radius)
+
+    def jac(t, y):
+        q, fit, z, sigma, band, stencil = terms(y)
+        radius = float(y[-1])
+        inv_r2 = 1.0 / (radius * radius)
+        small = np.abs(z) < 1e-2
+        slope = np.where(small, z * (2.0 / 3.0 - z * z * (4.0 / 45.0)),
+                         (sigma - sigma * sigma + z * z) / np.where(small, 1.0, z))
+        by_q = (slope * fit * stencil(diffusion) + stencil(convection)) * inv_r2
+        band = band * inv_r2
+        return (band, by_q, flux_weights, (-2.0 / radius) * stencil(band),
+                (flux_weights[0] / radius, flux_weights[1] / radius, -q * inv_r2))
+
+    return rhs, jac
+
+
+def _reference_solve(parts, c, rhs):
+    """The bordered solve of ``_factor`` as unfused expressions: the bitwise reference."""
+    dgttrf, dgttrs = _lapack()
+    band, by_q, (g0, g1), r_col, (l0, l1, l_r) = parts
+    lu = dgttrf(-c * band[0, 1:], 1.0 - c * band[1], -c * band[2, :-1])[:5]
+    zu, zr = (dgttrs(*lu, column)[0] for column in (by_q, r_col))
+    a, b = 1.0 - c * (g0 * zu[0] + g1 * zu[1]), -c * (g0 * zr[0] + g1 * zr[1])
+    e, f = -c * c * (l0 * zu[0] + l1 * zu[1]), 1.0 - c * l_r - c * c * (l0 * zr[0] + l1 * zr[1])
+    det = a * f - b * e
+    z = dgttrs(*lu, rhs[:-1])[0]
+    z0, z1 = z[:2].tolist()
+    gz, lz = g0 * z0 + g1 * z1, float(rhs[-1]) + c * (l0 * z0 + l1 * z1)
+    alpha, radius = (f * gz - b * lz) / det, (a * lz - e * gz) / det
+    return np.append(z + (c * alpha) * zu + (c * radius) * zr, radius)
+
+
+class TestWorkArrays:
+    """The right-hand side, Jacobian and solve form their sums in work arrays; they must
+    give the bits of the unfused expressions and return arrays nothing overwrites."""
+
+    GRID = _build_grid(40.0, 241, 2e-3)[0]
+
+    @classmethod
+    def _states(cls, count=4, seed=3):
+        # random fields and radii, with w_1 set so that w_x|_1 - 1 = q / eps alternates in sign
+        d0, d1, d2 = _surface_flux_weights(cls.GRID)
+        rng = np.random.default_rng(seed)
+        for k in range(count):
+            y = np.append(rng.uniform(0.0, 1.0, cls.GRID.size - 2), rng.uniform(0.05, 1.5))
+            y[0] = (1.0 - d0 - d2 * y[1] + (-1.0) ** k * rng.uniform(0.5, 5.0)) / d1
+            yield y
+
+    @pytest.mark.parametrize("ratio", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("eps", [0.1, -0.1, 0.0])
+    def test_bit_identical_to_the_unfused_expressions(self, eps, ratio):
+        rhs, jac = _mapped_system(self.GRID, eps, 1.0 - ratio)
+        ref_rhs, ref_jac = _reference_system(self.GRID, eps, 1.0 - ratio)
+        rng = np.random.default_rng(5)
+        signs = set()
+        for y in self._states():
+            got = rhs(0.0, y)
+            assert got.tobytes() == ref_rhs(0.0, y).tobytes()
+            signs.add(np.sign(got[-1]))
+            parts, want = jac(0.0, y), ref_jac(0.0, y)
+            for part, ref in zip(parts, want):
+                assert np.asarray(part).tobytes() == np.asarray(ref).tobytes()
+            b = rng.standard_normal(y.size)
+            for c in (1e-6, 1e-3, 1.0):
+                assert _factor(parts, c)(b).tobytes() == _reference_solve(want, c, b).tobytes()
+        assert signs == ({-1.0, 1.0} if eps else {0.0})  # both upwind sides, and sigma = 1
+
+    def test_results_are_not_overwritten_by_later_calls(self):
+        rhs, jac = _mapped_system(self.GRID, 0.1, 1.0 - 2.0)
+        y1, y2 = self._states(count=2)
+        first = rhs(0.0, y1)
+        kept = first.copy()
+        second = rhs(0.0, y2)
+        assert not np.shares_memory(first, second)
+        assert first.tobytes() == kept.tobytes()
+
+        parts = jac(0.0, y1)
+        kept = [np.array(part) for part in parts]
+        rhs(0.0, y2)
+        jac(0.0, y2)
+        for part, ref in zip(parts, kept):
+            assert np.asarray(part).tobytes() == ref.tobytes()
+        b1, b2 = np.random.default_rng(9).standard_normal((2, y1.size))
+        solve = _factor(parts, 1e-3)
+        out1 = solve(b1)
+        assert out1.tobytes() == _factor(jac(0.0, y1), 1e-3)(b1).tobytes()
+        kept = out1.copy()
+        out2 = solve(b2)
+        for out in (out1, out2):
+            assert not np.shares_memory(out, b1) and not np.shares_memory(out, b2)
+        assert not np.shares_memory(out1, out2)
+        assert out1.tobytes() == kept.tobytes()
+
+
 class TestResultOutputs:
     @pytest.mark.parametrize("eps,config", [(0.2, PdeConfig(t_end=0.5)),
                                             (1.0, PdeConfig(min_radius=0.5))])
@@ -393,15 +516,16 @@ class TestBdfStepper:
 
     def test_step_size_underflow_raises(self):
         # a rate that turns non-finite at t = 0.5 defeats every Newton iteration there
-        def fun(t, y):
-            return -y if t < 0.5 else y * math.nan
-
         def factor(jacobian, c):
             return lambda b: b / (1.0 - c * jacobian)
 
-        with pytest.raises(IntegrationError, match="underflow"):
-            _bdf.integrate(fun, lambda t, y: -1.0, factor, 0.0, np.array([1.0]), 1.0,
-                           1e-6, 1e-6)
+        for bad in (math.nan, math.inf, -math.inf):
+            def fun(t, y):
+                return -y if t < 0.5 else np.full_like(y, bad)
+
+            with pytest.raises(IntegrationError, match="underflow"):
+                _bdf.integrate(fun, lambda t, y: -1.0, factor, 0.0, np.array([1.0]), 1.0,
+                               1e-6, 1e-6)
 
     def test_overflowing_initial_rate_raises(self):
         # f0 / scale overflows, so the initial-step rule has no positive finite h0
