@@ -55,8 +55,7 @@ class MethodId(enum.Enum):
 #: The elementwise functions the closed forms are written against, for one float.
 FLOAT_OPS = SimpleNamespace(
     exp=math.exp, log=math.log, log1p=math.log1p, sqrt=math.sqrt, atan2=math.atan2,
-    hypot=math.hypot, maximum=max, minimum=min, any=bool,
-    where=lambda cond, a, b: a if cond else b,
+    hypot=math.hypot, maximum=max, minimum=min, where=lambda cond, a, b: a if cond else b,
 )
 
 
@@ -66,7 +65,7 @@ def array_ops() -> SimpleNamespace:
     import numpy as np
     return SimpleNamespace(exp=np.exp, log=np.log, log1p=np.log1p, sqrt=np.sqrt,
                            atan2=np.arctan2, hypot=np.hypot, maximum=np.maximum,
-                           minimum=np.minimum, any=np.any, where=np.where)
+                           minimum=np.minimum, where=np.where)
 
 
 def check_epsilon(eps: float) -> None:

@@ -20,13 +20,13 @@ function of a single curve parameter and the radius follows algebraically:
 * critical (eps == 2), parameter p >= 0:
       t = exp(-4/(p+2)) / (p+2)^2,   R = p sqrt(t)
 
-Each branch is written once, in the offset g = p - lower from the lower
-bound of p, where R = (a g + b) sqrt(t) suffers no cancellation, against
-``curves.FLOAT_OPS`` for one float or ``curves.array_ops()`` (numpy, imported
-on the first array call) for arrays.  Radius-at-time queries invert t(g) by
-Newton's method kept inside a bracket, which matters at extinction, where
-dt/dg vanishes.  Their times, and the dissolution time, follow the query
-contract of ``curves``.
+Each branch is written once, as one function of the offset g = p - lower
+(where R = (a g + b) sqrt(t) suffers no cancellation) giving log t and its
+slope, for floats or, in ``exact_curve``, numpy arrays.  Radius-at-time
+queries invert t(g) on floats by Newton's method kept inside a bracket, which
+matters at extinction, where dt/dg vanishes; an array of times maps each
+time through that float solver.  Their times, and the dissolution time,
+follow the query contract of ``curves``.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .curves import (
     query_times,
 )
 from .errors import DomainError
-from .model import Regime, branch_exponent, classify_regime
+from .model import _GROWTH, Regime, branch_exponent, classify_regime
 
 #: Queries below this time return the initial radius, avoiding the
 #: 1/sqrt(t) singularity of the flux term, where that shortcut's error
@@ -59,14 +59,15 @@ _SHORTCUT_ERROR = 1e-6
 _ROUNDS_TO_ONE = 1e-17
 
 _NEWTON_MAX_ITER = 100
+_LN2, _LN3 = math.log(2.0), math.log(3.0)
 
 
 class _Branch(NamedTuple):
     """One regime's exact solution as a function of the offset g = p - lower.
 
-    ``log_st(g, xp)`` is log(scale * t(g)), strictly decreasing in g, and
-    ``slope(g, xp)`` is -d log t / d log g > 0.  On the dissolving branches
-    log t(g) >= log t(0) - g^2 / curvature.
+    ``curve(g, xp)`` is the pair (log(scale * t(g)), -d log t / d log g): the
+    first strictly decreasing in g, the second positive.  On the dissolving
+    branches log t(g) >= log t(0) - g^2 / curvature.
     """
 
     regime: Regime
@@ -76,16 +77,15 @@ class _Branch(NamedTuple):
     a: float
     b: float
     curvature: float
-    log_st: Callable
-    slope: Callable
+    curve: Callable
 
     def time(self, g, xp=FLOAT_OPS):
-        return xp.exp(self.log_st(g, xp)) / self.scale
+        return xp.exp(self.curve(g, xp)[0]) / self.scale
 
     def radius(self, g, t, xp=FLOAT_OPS):
         r = (self.a * g + self.b) * xp.sqrt(t)
         # the radius never crosses its initial value; keep rounding from doing so
-        return xp.maximum(r, 1.0) if self.regime is Regime.GROWTH else xp.minimum(r, 1.0)
+        return xp.maximum(r, 1.0) if self.regime is _GROWTH else xp.minimum(r, 1.0)
 
 
 def _branch(eps: float, regime: Regime | None = None) -> _Branch:
@@ -93,93 +93,82 @@ def _branch(eps: float, regime: Regime | None = None) -> _Branch:
     found = classify_regime(eps)
     if regime is not None and found is not regime:
         raise DomainError("epsilon", f"{regime.value} branch does not cover epsilon={eps!r}")
-    if found is Regime.CRITICAL:
+    # dispatch on eps, which classify_regime has mapped to ``found``: enum lookups are slow
+    if eps == 2.0:
+        def critical(g, xp):
+            s = g + 2.0
+            return -4.0 / s - 2.0 * xp.log1p(0.5 * g), 2.0 * (g / s) ** 2
         # scale 4 makes t(0) = exp(-2) / 4 exact
-        return _Branch(
-            found, 0.0, 0.0, 4.0, 1.0, 0.0, 4.0,
-            lambda g, xp: -4.0 / (g + 2.0) - 2.0 * xp.log1p(0.5 * g),
-            lambda g, xp: 2.0 * (g / (g + 2.0)) ** 2,
-        )
-    if found is Regime.STATIC:
+        return _Branch(found, 0.0, 0.0, 4.0, 1.0, 0.0, 4.0, critical)
+    if eps == 0.0:
         raise DomainError("epsilon", "the static regime has no parametric branch")
     k = branch_exponent(eps)
     a = math.sqrt(abs(2.0 - eps)) * math.sqrt(abs(eps))
     scale = abs(eps * (2.0 - eps))
     if math.isinf(scale):
         raise DomainError("epsilon", f"|epsilon (2 - epsilon)| overflows at epsilon={eps!r}")
-    if found is Regime.DISSOLUTION:
-
-        def log_st(g, xp):
+    if eps < 0.0:
+        def growth(g, xp):
+            s = g + 2.0
+            return k * xp.log1p(2.0 / g) - xp.log(g) - xp.log(s), 2.0 * (1.0 + g + k) / s
+        return _Branch(found, k, 1.0, scale, a, a - eps, math.inf, growth)
+    if eps < 2.0:
+        def dissolution(g, xp):
             # 2 atan(p) - pi == -2 atan(1/p) for p > 0, evaluated without cancellation
             p = k + g
-            return -2.0 * k * xp.atan2(1.0, p) - 2.0 * xp.log(xp.hypot(1.0, p))
-
-        return _Branch(found, k, k, scale, a, 0.0, 2.0 / (2.0 - eps), log_st,
-                       lambda g, xp: 2.0 * (g / xp.hypot(1.0, k + g)) ** 2)
-    if found is Regime.GROWTH:
-        return _Branch(
-            found, k, 1.0, scale, a, a - eps, math.inf,
-            lambda g, xp: k * xp.log1p(2.0 / g) - xp.log(g) - xp.log(g + 2.0),
-            lambda g, xp: 2.0 * (1.0 + g + k) / (g + 2.0),
-        )
+            h = xp.hypot(1.0, p)
+            return -2.0 * k * xp.atan2(1.0, p) - 2.0 * xp.log(h), 2.0 * (g / h) ** 2
+        return _Branch(found, k, k, scale, a, 0.0, 2.0 / (2.0 - eps), dissolution)
     # supercritical: p - 1 = (k - 1) + g, with k - 1 free of cancellation as eps -> inf
     km1 = 2.0 / ((eps - 2.0) * (k + 1.0))
-    return _Branch(
-        found, k, k, scale, a, 0.0, 2.0 / (eps - 2.0),
-        lambda g, xp: -k * xp.log1p(2.0 / (km1 + g)) - xp.log(km1 + g) - xp.log(km1 + g + 2.0),
-        lambda g, xp: 2.0 * (g / (km1 + g)) * (g / (km1 + g + 2.0)),
-    )
+
+    def supercritical(g, xp):
+        q, q2 = km1 + g, km1 + g + 2.0
+        return -k * xp.log1p(2.0 / q) - xp.log(q) - xp.log(q2), 2.0 * (g / q) * (g / q2)
+
+    return _Branch(found, k, k, scale, a, 0.0, 2.0 / (eps - 2.0), supercritical)
 
 
-def _offset_at(branch: _Branch, t, xp=FLOAT_OPS):
-    """Solve t(g) = t for the offset g, elementwise.
+def _offset_at(branch: _Branch, t: float) -> float:
+    """Solve t(g) = t for the offset g.
 
     Requires 0 < t < t(0) on the dissolving branches.  Newton's method runs
     in x = log g on log(scale * t(g)), which is close to linear in x at both
     ends of every branch, and falls back to bisection whenever a step would
-    leave the bracket [lo, hi] built from closed-form bounds on t(g).
+    leave the bracket [lo, hi] built from closed-form bounds on t(g).  The
+    branch curve gets ``math`` as ``xp``, FLOAT_OPS's functions, loaded faster.
     """
+    curve, scale = branch.curve, branch.scale
     # log(scale t): from the product where it stays in range, else from a sum of logs
-    log_scale, t_lo, t_hi = math.log(branch.scale), 1e-300 / branch.scale, 1e300 / branch.scale
-    target = xp.where((t > t_lo) & (t < t_hi),
-                      xp.log(branch.scale * xp.minimum(xp.maximum(t, t_lo), t_hi)),
-                      log_scale + xp.log(t))
-    ln2 = math.log(2.0)
+    log_scale, t_lo, t_hi = math.log(scale), 1e-300 / scale, 1e300 / scale
+    target = (math.log(scale * min(max(t, t_lo), t_hi)) if t_lo < t < t_hi
+              else log_scale + math.log(t))
     # log_st(g) <= -2 log g (+ 2 log 2 on the critical branch), tight as g -> inf
     large = -0.5 * target
-    if branch.regime is Regime.GROWTH:
+    if branch.regime is _GROWTH:
         # t(g) >= 1/(3 scale g) for g <= 1 and t(g) <= 2/(scale g^2) for g >= 2
         # floored where g no longer changes R = (a g + b) sqrt(t)
-        lo = xp.maximum(xp.minimum(0.0, -math.log(3.0) - target), -700.0)
-        hi = xp.maximum(ln2, 0.5 * (ln2 - target))
-        x = xp.minimum(large, ((branch.k - 1.0) * ln2 - target) / (1.0 + branch.k))
+        lo = max(min(0.0, -_LN3 - target), -700.0)
+        hi = max(_LN2, 0.5 * (_LN2 - target))
+        x = min(large, ((branch.k - 1.0) * _LN2 - target) / (1.0 + branch.k))
     else:
         # the root has g^2 >= curvature * (log t(0) - log t), by the curvature bound
-        drop = xp.maximum(branch.log_st(0.0, xp) - target, 0.0)
-        g_lo = xp.maximum(xp.sqrt(branch.curvature * drop), 1e-150)
-        lo, hi = xp.log(g_lo), large
-        x = xp.where(g_lo < 1.0, lo, large)
-    lo, hi = lo - ln2, hi + 2.0 * ln2
-    x = xp.minimum(xp.maximum(x, lo), hi)
+        drop = max(curve(0.0, math)[0] - target, 0.0)
+        g_lo = max(math.sqrt(branch.curvature * drop), 1e-150)
+        lo, hi = math.log(g_lo), large
+        x = lo if g_lo < 1.0 else large
+    lo, hi = lo - _LN2, hi + 2.0 * _LN2
+    x = min(max(x, lo), hi)
     tol = 1e-14 * (1.0 + abs(target) + max(log_scale, 0.0))
     for _ in range(_NEWTON_MAX_ITER):
-        g = xp.exp(x)
-        residual = branch.log_st(g, xp) - target
-        above = residual > 0.0
-        lo = xp.where(above, x, lo)
-        hi = xp.where(above, hi, x)
-        step = x + residual / branch.slope(g, xp)
-        x = xp.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
-        if not xp.any((abs(residual) > tol) & (hi - lo > 1e-12)):
+        log_st, slope = curve(math.exp(x), math)
+        residual = log_st - target
+        lo, hi = (x, hi) if residual > 0.0 else (lo, x)
+        step = x + residual / slope
+        x = step if lo <= step <= hi else 0.5 * (lo + hi)
+        if not (abs(residual) > tol and hi - lo > 1e-12):
             break
-    return xp.exp(x)
-
-
-def _initial(eps: float, t, xp=FLOAT_OPS):
-    """Where R = 1 is returned as is (eps != 0): the tiny-time shortcut, or R rounds to 1."""
-    root, size = xp.sqrt(t), abs(eps)
-    return (((t < TINY_TIME) & (root <= 0.5 * _SHORTCUT_ERROR / size))
-            | (t + 2.0 * root <= _ROUNDS_TO_ONE / size))
+    return math.exp(x)
 
 
 @dataclass(frozen=True)
@@ -199,7 +188,7 @@ class ParametricPoint:
 
 
 def _point(branch: _Branch, param: float) -> ParametricPoint:
-    lower, growth = branch.lower, branch.regime is Regime.GROWTH
+    lower, growth = branch.lower, branch.regime is _GROWTH
     if not math.isfinite(param) or param < lower or (growth and param == lower):
         raise DomainError("param", f"must be {'>' if growth else '>='} {lower!r}, got {param!r}")
     g = param - lower
@@ -251,9 +240,10 @@ def time_to_dissolution(eps: float) -> float:
 def radius_at(eps: float, t):
     """Radius at a given dimensionless time, by inverting the implicit relation.
 
-    ``t`` is a float or an array of times (which returns an array), checked
-    by ``query_times``.  For eps > 0 no time may exceed the
-    complete-dissolution time; such queries raise ``PastDissolutionError``.
+    ``t`` is a float or an array of times (which returns an array, each time
+    answered as the float it holds), checked by ``query_times``.  For eps > 0
+    no time may exceed the complete-dissolution time; such queries raise
+    ``PastDissolutionError``.
     """
     check_epsilon(eps)
     xp, t, _, last = query_times(t)
@@ -261,17 +251,22 @@ def radius_at(eps: float, t):
     t0 = branch.time(0.0) if eps > 0 else math.inf
     check_not_past(last, t0)
     if xp is FLOAT_OPS:
-        if t >= t0:
-            return 0.0
-        if branch is None or _initial(eps, t):
-            return 1.0
-        return branch.radius(_offset_at(branch, t), t)
-    radii = xp.where(t >= t0, 0.0, 1.0)
-    if branch is not None:
-        solve = (t < t0) & ~_initial(eps, t, xp)
-        times = t[solve]
-        radii[solve] = branch.radius(_offset_at(branch, times, xp), times, xp)
-    return radii
+        return _radius(eps, branch, t0, t)
+    import numpy as np
+    return np.array([_radius(eps, branch, t0, x) for x in t.ravel().tolist()]).reshape(t.shape)
+
+
+def _radius(eps: float, branch: _Branch | None, t0: float, t: float) -> float:
+    """R at one checked time t; 1 at eps = 0, at tiny times and where R rounds to 1."""
+    if t >= t0:
+        return 0.0
+    if branch is None:
+        return 1.0
+    root, size = math.sqrt(t), abs(eps)
+    if ((t < TINY_TIME and root <= 0.5 * _SHORTCUT_ERROR / size)
+            or t + 2.0 * root <= _ROUNDS_TO_ONE / size):
+        return 1.0
+    return branch.radius(_offset_at(branch, t), t)
 
 
 def exact_curve(eps: float, n: int = 256, t_max: float | None = None) -> RadiusCurve:

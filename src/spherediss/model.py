@@ -38,6 +38,9 @@ class Regime(enum.Enum):
     GROWTH = "growth"                # epsilon < 0 (supersaturated medium)
 
 
+_STATIC, _DISSOLUTION, _CRITICAL, _SUPERCRITICAL, _GROWTH = Regime  # Regime.X costs 0.15 us
+
+
 def classify_regime(epsilon: float) -> Regime:
     """Map the driving-force parameter to its solution branch.
 
@@ -49,14 +52,14 @@ def classify_regime(epsilon: float) -> Regime:
     if not math.isfinite(epsilon):
         raise DomainError("epsilon", f"must be finite, got {epsilon!r}")
     if epsilon == 0:
-        return Regime.STATIC
+        return _STATIC
     if epsilon < 0:
-        return Regime.GROWTH
+        return _GROWTH
     if epsilon == 2:
-        return Regime.CRITICAL
+        return _CRITICAL
     if epsilon > 2:
-        return Regime.SUPERCRITICAL
-    return Regime.DISSOLUTION
+        return _SUPERCRITICAL
+    return _DISSOLUTION
 
 
 def branch_exponent(epsilon: float) -> float:

@@ -318,6 +318,9 @@ def _factor(parts, c: float):
         z0, z1 = z[:2].tolist()
         gz, lz = g0 * z0 + g1 * z1, float(rhs[-1]) + c * (l0 * z0 + l1 * z1)
         alpha, radius = (f * gz - b * lz) / det, (a * lz - e * gz) / det
+        if not (math.isfinite(alpha) and math.isfinite(radius)):
+            # opposite infinities would meet in the body's sum, with numpy's warning
+            return np.full(rhs.size, math.nan)
         out = np.empty(rhs.size)
         body = np.add(z, np.multiply(zu, c * alpha, out=out[:-1]), out=out[:-1])
         body += np.multiply(zr, c * radius, out=z)  # z is no longer needed

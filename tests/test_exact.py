@@ -1,4 +1,6 @@
 import math
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -20,11 +22,24 @@ from spherediss import (
     radius_at,
     time_to_dissolution,
 )
+from spherediss import exact
+from spherediss.curves import (
+    FLOAT_OPS,
+    MethodId,
+    RadiusCurve,
+    check_epsilon,
+    check_grid,
+    check_not_past,
+    dissolution_time,
+    query_times,
+)
 from spherediss.exact import (
+    TINY_TIME,
     _branch,
     _time,
     array_ops,
 )
+from spherediss.model import classify_regime
 
 # erfc(sqrt(pi)) to 20 digits, computed independently with mpmath
 ERFC_SQRT_PI = 0.012188882184802886892
@@ -489,7 +504,7 @@ class TestBranchTableProperties:
         times = _times(eps, fractions, log_times)
         radii = radius_at(eps, times)
         scalar = np.array([radius_at(eps, float(t)) for t in times])
-        assert np.all(np.abs(radii - scalar) <= 1e-13 * np.maximum(np.abs(scalar), 1.0))
+        assert np.array_equal(radii, scalar)
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(eps=epsilons, fractions=fractions, log_times=log_times)
@@ -499,3 +514,256 @@ class TestBranchTableProperties:
             assert np.all((radii >= 0.0) & (radii <= 1.0))
         else:
             assert np.all(radii >= 1.0)
+
+
+# The parent design of the inversion, kept as the reference the float solver must match
+# bit for bit: one log_st and one slope function per branch, and a Newton loop written
+# against an xp namespace (``where``, ``any``), run on FLOAT_OPS for one float.
+class _SeedBranch(NamedTuple):
+    regime: Regime
+    k: float
+    lower: float
+    scale: float
+    a: float
+    b: float
+    curvature: float
+    log_st: Callable
+    slope: Callable
+
+    def time(self, g, xp=FLOAT_OPS):
+        return xp.exp(self.log_st(g, xp)) / self.scale
+
+    def radius(self, g, t, xp=FLOAT_OPS):
+        r = (self.a * g + self.b) * xp.sqrt(t)
+        return xp.maximum(r, 1.0) if self.regime is Regime.GROWTH else xp.minimum(r, 1.0)
+
+
+_SEED_OPS = SimpleNamespace(**vars(FLOAT_OPS), any=bool)
+
+
+def _seed_branch(eps):
+    found = classify_regime(eps)
+    if found is Regime.CRITICAL:
+        return _SeedBranch(
+            found, 0.0, 0.0, 4.0, 1.0, 0.0, 4.0,
+            lambda g, xp: -4.0 / (g + 2.0) - 2.0 * xp.log1p(0.5 * g),
+            lambda g, xp: 2.0 * (g / (g + 2.0)) ** 2,
+        )
+    if found is Regime.STATIC:
+        raise DomainError("epsilon", "the static regime has no parametric branch")
+    k = branch_exponent(eps)
+    a = math.sqrt(abs(2.0 - eps)) * math.sqrt(abs(eps))
+    scale = abs(eps * (2.0 - eps))
+    if math.isinf(scale):
+        raise DomainError("epsilon", f"|epsilon (2 - epsilon)| overflows at epsilon={eps!r}")
+    if found is Regime.DISSOLUTION:
+
+        def log_st(g, xp):
+            p = k + g
+            return -2.0 * k * xp.atan2(1.0, p) - 2.0 * xp.log(xp.hypot(1.0, p))
+
+        return _SeedBranch(found, k, k, scale, a, 0.0, 2.0 / (2.0 - eps), log_st,
+                           lambda g, xp: 2.0 * (g / xp.hypot(1.0, k + g)) ** 2)
+    if found is Regime.GROWTH:
+        return _SeedBranch(
+            found, k, 1.0, scale, a, a - eps, math.inf,
+            lambda g, xp: k * xp.log1p(2.0 / g) - xp.log(g) - xp.log(g + 2.0),
+            lambda g, xp: 2.0 * (1.0 + g + k) / (g + 2.0),
+        )
+    km1 = 2.0 / ((eps - 2.0) * (k + 1.0))
+    return _SeedBranch(
+        found, k, k, scale, a, 0.0, 2.0 / (eps - 2.0),
+        lambda g, xp: -k * xp.log1p(2.0 / (km1 + g)) - xp.log(km1 + g) - xp.log(km1 + g + 2.0),
+        lambda g, xp: 2.0 * (g / (km1 + g)) * (g / (km1 + g + 2.0)),
+    )
+
+
+def _seed_offset_at(branch, t, xp=_SEED_OPS):
+    log_scale, t_lo, t_hi = math.log(branch.scale), 1e-300 / branch.scale, 1e300 / branch.scale
+    target = xp.where((t > t_lo) & (t < t_hi),
+                      xp.log(branch.scale * xp.minimum(xp.maximum(t, t_lo), t_hi)),
+                      log_scale + xp.log(t))
+    ln2 = math.log(2.0)
+    large = -0.5 * target
+    if branch.regime is Regime.GROWTH:
+        lo = xp.maximum(xp.minimum(0.0, -math.log(3.0) - target), -700.0)
+        hi = xp.maximum(ln2, 0.5 * (ln2 - target))
+        x = xp.minimum(large, ((branch.k - 1.0) * ln2 - target) / (1.0 + branch.k))
+    else:
+        drop = xp.maximum(branch.log_st(0.0, xp) - target, 0.0)
+        g_lo = xp.maximum(xp.sqrt(branch.curvature * drop), 1e-150)
+        lo, hi = xp.log(g_lo), large
+        x = xp.where(g_lo < 1.0, lo, large)
+    lo, hi = lo - ln2, hi + 2.0 * ln2
+    x = xp.minimum(xp.maximum(x, lo), hi)
+    tol = 1e-14 * (1.0 + abs(target) + max(log_scale, 0.0))
+    for _ in range(100):
+        g = xp.exp(x)
+        residual = branch.log_st(g, xp) - target
+        above = residual > 0.0
+        lo = xp.where(above, x, lo)
+        hi = xp.where(above, hi, x)
+        step = x + residual / branch.slope(g, xp)
+        x = xp.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+        if not xp.any((abs(residual) > tol) & (hi - lo > 1e-12)):
+            break
+    return xp.exp(x)
+
+
+def _seed_radius_at(eps, t):
+    check_epsilon(eps)
+    _, t, _, last = query_times(t)
+    branch = _seed_branch(eps) if eps != 0 else None
+    t0 = branch.time(0.0) if eps > 0 else math.inf
+    check_not_past(last, t0)
+    if t >= t0:
+        return 0.0
+    root, size = math.sqrt(t), abs(eps)
+    if branch is None or ((t < TINY_TIME) & (root <= 0.5 * 1e-6 / size)
+                          | (t + 2.0 * root <= 1e-17 / size)):
+        return 1.0
+    return branch.radius(_seed_offset_at(branch, t), t)
+
+
+def _seed_time_to_dissolution(eps):
+    return dissolution_time(eps, lambda e: _seed_branch(e).time(0.0), "exact")
+
+
+def _seed_exact_curve(eps, n=256, t_max=None):
+    check_grid(eps, n, t_max)
+    ones = eps == 0 or (eps < 0 and t_max + 2.0 * math.sqrt(t_max) <= 1e-17 / -eps)
+    metadata = {"samples": n, "parameter_grid": "uniform" if ones else "geometric",
+                "t_max": t_max}
+    if ones:
+        return RadiusCurve(MethodId.EXACT_QS, eps, np.linspace(0.0, t_max, n), np.ones(n),
+                           metadata)
+    branch = _seed_branch(eps)
+    t0 = _seed_time_to_dissolution(eps) if eps > 0 else math.inf
+    t_end = min(t_max, t0) if t_max is not None else t0
+    g_first = _seed_offset_at(branch, t_end * 1e-10)
+    if t_end >= t0:
+        offsets = np.concatenate(([0.0], np.geomspace(1e-6 * (1.0 + branch.lower), g_first, n - 1)))
+    else:
+        offsets = np.geomspace(_seed_offset_at(branch, t_end), g_first, n)
+    offsets = np.sort(offsets)[::-1]
+    times = branch.time(offsets, array_ops())
+    return RadiusCurve(MethodId.EXACT_QS, eps, times, branch.radius(offsets, times, array_ops()),
+                       metadata)
+
+
+def _outcome(fn, *args):
+    """The bytes of a result (float, array or curve), or the type and message it raised."""
+    try:
+        value = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(value, RadiusCurve):
+        return value.times.tobytes(), value.radii.tobytes(), dict(value.metadata)
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def _grid_epsilons():
+    rng = np.random.default_rng(13)
+    special = [1e-300, -1e-300, 2.0 - 1e-12, 2.0 + 1e-12, 1e6, -1e6, 2.0, 0.0, 1e-8, -1e-8,
+               0.1, 1.0, 1.9, 5.0, -0.5, -3.0, 1e150, -1e150]
+    drawn = [*10.0 ** rng.uniform(-300.0, math.log10(1.99), 12),  # dissolution
+             *rng.uniform(2.0, 1e3, 6), *(2.0 + 10.0 ** rng.uniform(-15.0, 0.0, 4)),  # supercritical
+             *-(10.0 ** rng.uniform(-300.0, 6.0, 12))]  # growth
+    return special + [float(e) for e in drawn]
+
+
+def _grid_times(eps, rng):
+    """Times across the branch, with its edges: near 0, where R rounds to 1, and near t0."""
+    size = abs(eps) or 1.0
+    edges = [0.0, 1e-300, 1e-16, 0.99e-14, 1e-14, 1.01e-14,
+             0.5e-17 / size, 1e-17 / size, 2e-17 / size, min(0.5e-6 / size, 1e150) ** 2]
+    if eps > 0:
+        t0 = _seed_time_to_dissolution(eps)
+        fractions = [*rng.uniform(0.0, 1.0, 24), *10.0 ** rng.uniform(-30.0, 0.0, 8),
+                     *(1.0 - np.arange(1, 6) * 1e-16), 1.0, 1.0 + 1e-16, 1.0 + 1e-13]
+        return edges + [t0 * float(f) for f in fractions] + [t0 * (1.0 - 1e-12)]
+    return edges + [float(t) for t in 10.0 ** rng.uniform(-20.0, 300.0, 32)] + [1e300]
+
+
+class TestFloatInversionMatchesTheParentDesign:
+    @pytest.mark.parametrize("eps", _grid_epsilons())
+    def test_radius_at(self, eps):
+        rng = np.random.default_rng(int(np.float64(eps).view(np.uint64)))
+        times = _grid_times(eps, rng)
+        for t in times + [-1.0, math.nan, math.inf, 10.0 * (times[-1] or 1.0)]:
+            assert _outcome(radius_at, eps, t) == _outcome(_seed_radius_at, eps, t), t
+        valid = [t for t in times if isinstance(_outcome(_seed_radius_at, eps, t), bytes)]
+        expected = np.array([_seed_radius_at(eps, t) for t in valid])
+        assert radius_at(eps, np.array(valid)).tobytes() == expected.tobytes()
+        assert radius_at(eps, np.array(valid).reshape(-1, 1)).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("eps", _grid_epsilons() + [5e-324, 1e200, -1.0, math.nan, math.inf])
+    def test_time_to_dissolution(self, eps):
+        assert _outcome(time_to_dissolution, eps) == _outcome(_seed_time_to_dissolution, eps)
+
+    @pytest.mark.parametrize("eps", _grid_epsilons())
+    def test_exact_curve(self, eps):
+        t_ends = [1e-20, 1e-6, 1.0, 1e3, 1e300] + ([None, 0.5 * _seed_time_to_dissolution(eps)]
+                                                  if eps > 0 else [None, -1.0])
+        for n in (2, 17, 256):
+            for t_max in t_ends:
+                assert (_outcome(exact_curve, eps, n, t_max)
+                        == _outcome(_seed_exact_curve, eps, n, t_max)), (n, t_max)
+
+    def test_refused_epsilons(self):
+        for eps in (math.nan, math.inf, -math.inf, 1e200, -1e200):
+            assert _outcome(radius_at, eps, 1.0) == _outcome(_seed_radius_at, eps, 1.0)
+            assert _outcome(exact_curve, eps, 16, 1.0) == _outcome(_seed_exact_curve, eps, 16, 1.0)
+
+
+def _work_mix():
+    """A fixed mix of 2,000 scalar queries: 1,600 radii over the five regimes, 400 t0."""
+    rng = np.random.default_rng(2000)
+    regimes = {
+        "growth": (400, lambda: -(10.0 ** rng.uniform(-3.0, 1.0))),
+        "dissolution": (400, lambda: 10.0 ** rng.uniform(-3.0, math.log10(1.9))),
+        "supercritical": (300, lambda: rng.uniform(2.1, 10.0)),
+        "critical": (300, lambda: 2.0),
+        "static": (200, lambda: 0.0),
+    }
+    queries = []
+    for count, draw in regimes.values():
+        for _ in range(count):
+            eps = float(draw())
+            if eps > 0:
+                t = float(rng.uniform(0.0, 1.0)) * time_to_dissolution(eps)
+            else:
+                t = float(10.0 ** rng.uniform(-16.0, 6.0))
+            queries.append((radius_at, eps, t))
+    for name in ("dissolution", "supercritical", "critical"):
+        queries.extend((time_to_dissolution, float(regimes[name][1]()))
+                       for _ in range(200 if name == "dissolution" else 100))
+    return queries
+
+
+class TestInversionWork:
+    # Branch-curve evaluations over the mix: one per Newton iteration, one for t0 on the
+    # dissolving branches and one for the bracket's lower bound there.  Pinned at the count
+    # of the xp-generic solver this one replaced, which evaluated log t once per iteration.
+    CURVE_CALLS = 8916
+
+    def test_curve_evaluations_are_pinned(self, monkeypatch):
+        queries = _work_mix()
+        calls = 0
+        branch_of = exact._branch
+
+        def counting_branch(eps, regime=None):
+            branch = branch_of(eps, regime)
+
+            def curve(g, xp):
+                nonlocal calls
+                calls += 1
+                return branch.curve(g, xp)
+
+            return branch._replace(curve=curve)
+
+        monkeypatch.setattr(exact, "_branch", counting_branch)
+        for fn, *args in queries:
+            fn(*args)
+        assert len(queries) == 2000
+        assert calls == self.CURVE_CALLS

@@ -3,6 +3,7 @@ import importlib.machinery
 import importlib.util
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -526,6 +527,24 @@ class TestBdfStepper:
             with pytest.raises(IntegrationError, match="underflow"):
                 _bdf.integrate(fun, lambda t, y: -1.0, factor, 0.0, np.array([1.0]), 1.0,
                                1e-6, 1e-6)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
+    def test_infinite_radius_rate_rejects_the_newton_step(self, bad):
+        # a real state whose rate is finite but for dR/dt: the solve must hand Newton a
+        # non-finite increment without numpy's invalid-value warning, and Newton must stop
+        rhs, jac = _mapped_system(TestWorkArrays.GRID, 0.1, 1.0 - 2.0)
+        y = next(TestWorkArrays._states())
+        rate = rhs(0.0, y)
+        rate[-1] = bad
+        c = 1e-3
+        solve = _factor(jac(0.0, y), c)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not np.all(np.isfinite(solve(c * rate)))
+            converged, iterations, y_new, d = _bdf._newton(
+                lambda t, state: rate, 1e-3, y, c, np.zeros(y.size), solve, np.ones(y.size), 1e-3)
+        assert not converged and iterations == 1
+        assert y_new.tobytes() == y.tobytes() and not d.any()
 
     def test_overflowing_initial_rate_raises(self):
         # f0 / scale overflows, so the initial-step rule has no positive finite h0
