@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .curves import bisect
 from .errors import IntegrationError
 
 MAX_ORDER = 5
@@ -235,17 +236,8 @@ def integrate(fun, jac, factor, t0: float, y0: np.ndarray, t_bound: float,
         h_dense, D_dense = h_abs, D[:order + 1]
         t_end = t
         if floor is not None and last[-1] >= floor >= y[-1]:
-            lo, hi = t_old, t
             R = D_dense[:, -1].copy()
-            while True:
-                mid = 0.5 * (lo + hi)
-                if not lo < mid < hi:
-                    break
-                if _interpolate(mid, t, h_dense, R) > floor:
-                    lo = mid
-                else:
-                    hi = mid
-            t_end = hi
+            t_end = bisect(lambda s: _interpolate(s, t, h_dense, R) > floor, t_old, t)[1]
             stopped_at_floor = True
         while pending and t_eval[pending[0]] <= t_end:
             k = pending.pop(0)

@@ -12,6 +12,8 @@ from __future__ import annotations
 import bisect
 import math
 
+from . import curves
+
 # DOP853 tableau from Hairer's dop853.f, in the digits of scipy's
 # scipy/integrate/_ivp/dop853_coefficients.py (BSD-3-Clause, the SciPy
 # developers).  Stages 0-11 take a step, row A[12] holds the weights of the
@@ -209,14 +211,7 @@ def _interpolate(t: float, t_old, h, y_old, f0, f1, f2, f3, f4, f5, f6) -> float
 
 def crossing(row: tuple, lo: float, hi: float, level: float) -> float:
     """Bisect one step's interpolant for the t in [lo, hi] where it falls to ``level``."""
-    while hi - lo > CROSSING_XTOL:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if _interpolate(mid, *row) > level:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = curves.bisect(lambda t: _interpolate(t, *row) > level, lo, hi, CROSSING_XTOL)
     return 0.5 * (lo + hi)
 
 

@@ -34,6 +34,7 @@ from .curves import (
     MethodId,
     RadiusCurve,
     array_ops,
+    bisect,
     check_epsilon,
     check_grid,
     check_not_past,
@@ -169,14 +170,9 @@ def blended_t0(eps: float, allow_extrapolation: bool = False) -> float:
     crossed = np.flatnonzero(_blend_radicand(eps, alpha, roots[1:] ** 2, array_ops()) <= 0.0)
     if crossed.size == 0:
         raise DomainError("epsilon", f"blended radicand has no zero below t={t_cap:g}")
-    lo, hi = roots[crossed[0]] ** 2, roots[crossed[0] + 1] ** 2
-    tol = _BLEND_T0_REL_TOL * max(1.0, t_cap)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _blend_radicand(eps, alpha, mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = bisect(lambda t: _blend_radicand(eps, alpha, t) > 0.0,
+                    roots[crossed[0]] ** 2, roots[crossed[0] + 1] ** 2,
+                    _BLEND_T0_REL_TOL * max(1.0, t_cap))
     return 0.5 * (lo + hi)
 
 

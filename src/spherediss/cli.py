@@ -213,7 +213,7 @@ def _cmd_compare(args) -> None:
     t_end = min(ends)
 
     times = np.linspace(math.sqrt(t_end) / n, math.sqrt(t_end), n) ** 2
-    exact_values = np.array([exact.radius_at(eps, t) for t in times])
+    exact_values = exact.radius_at(eps, times)
 
     columns: dict[str, np.ndarray] = {}
     for method in methods:

@@ -3,6 +3,8 @@ the query contract every layer applies before it evaluates a formula, each
 rule written once: what a valid time is (``query_times``), how far past t0 a
 time may lie (``check_not_past``), when a dissolution time exists
 (``dissolution_time``) and when an end time is required (``check_end``).
+Every search for a level crossing (the blended t0, the solvers' radius-floor
+stops, the PDE grid's stretching ratio) halves its bracket in ``bisect``.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from .errors import DomainError, PastDissolutionError
 if TYPE_CHECKING:
     import numpy as np
 
-#: Most samples one curve may ask for.  ``compare`` still fills its exact
-#: column point by point, so a grid much larger than this runs for minutes.
+#: Most samples one curve may ask for.  ``compare`` answers its exact column
+#: with one inversion per time, so a grid much larger than this runs for minutes.
 MAX_SAMPLES = 10**6
 
 # Allowance for integrator noise when validating sample monotonicity.
@@ -135,6 +137,20 @@ def check_end(eps: float, t_end: float | None, param: str) -> None:
         raise DomainError(param, f"must be positive, got {t_end!r}")
     if eps <= 0 and t_end is None:
         raise DomainError(param, "required for epsilon <= 0 (no finite endpoint)")
+
+
+def bisect(above: Callable[[float], bool], lo: float, hi: float, xtol: float = 0.0):
+    """Halve [lo, hi] while it is wider than ``xtol`` and a float lies strictly
+    inside; ``lo`` keeps the side where ``above`` holds.  Returns (lo, hi)."""
+    while hi - lo > xtol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if above(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 def check_grid(eps: float, n: int, t_max: float | None) -> None:

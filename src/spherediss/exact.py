@@ -32,6 +32,7 @@ follow the query contract of ``curves``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -60,6 +61,10 @@ _ROUNDS_TO_ONE = 1e-17
 
 _NEWTON_MAX_ITER = 100
 _LN2, _LN3 = math.log(2.0), math.log(3.0)
+
+#: ``exact_curve``'s grid starts ten decades below its end, and not below this
+#: subnormal time: times there keep under 22 bits, too few for the radii.
+_EARLIEST_SAMPLE = 2.0**-1052
 
 
 class _Branch(NamedTuple):
@@ -147,8 +152,8 @@ def _offset_at(branch: _Branch, t: float) -> float:
     large = -0.5 * target
     if branch.regime is _GROWTH:
         # t(g) >= 1/(3 scale g) for g <= 1 and t(g) <= 2/(scale g^2) for g >= 2
-        # floored where g no longer changes R = (a g + b) sqrt(t)
-        lo = max(min(0.0, -_LN3 - target), -700.0)
+        # floored where g no longer changes R = (a g + b) sqrt(t), below every float t's root
+        lo = max(min(0.0, -_LN3 - target), -710.0)
         hi = max(_LN2, 0.5 * (_LN2 - target))
         x = min(large, ((branch.k - 1.0) * _LN2 - target) / (1.0 + branch.k))
     else:
@@ -291,6 +296,10 @@ def exact_curve(eps: float, n: int = 256, t_max: float | None = None) -> RadiusC
     branch = _branch(eps)
     t0 = time_to_dissolution(eps) if eps > 0 else math.inf
     t_end = min(t_max, t0) if t_max is not None else t0
+    if t_end * 1e-10 < _EARLIEST_SAMPLE:
+        raise DomainError("t_max" if t_end == t_max else "epsilon",
+                          f"the curve ends at t={t_end!r}, too early to sample from ten "
+                          f"decades before (below {_EARLIEST_SAMPLE:.3g})")
     g_first = _offset_at(branch, t_end * 1e-10)
     if t_end >= t0:
         # include the extinction endpoint exactly, then fan out geometrically
@@ -300,7 +309,10 @@ def exact_curve(eps: float, n: int = 256, t_max: float | None = None) -> RadiusC
 
     # descending offset <=> ascending time
     offsets = np.sort(offsets)[::-1]
-    times = branch.time(offsets, array_ops())
+    log_st = branch.curve(offsets, array_ops())[0]
+    # as ``branch.time``, but where scale * t overflows the scale leaves through the exponent
+    big = log_st > math.log(sys.float_info.max)
+    times = np.exp(log_st - big * math.log(branch.scale)) / np.where(big, 1.0, branch.scale)
     radii = branch.radius(offsets, times, array_ops())
     return RadiusCurve(MethodId.EXACT_QS, eps, times, radii, metadata)
 

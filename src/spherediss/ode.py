@@ -20,15 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import _dop853
 from .curves import FLOAT_OPS, MethodId, RadiusCurve, check_end, dissolution_time, query_times
 from .errors import DomainError, IntegrationError
-
-if TYPE_CHECKING:
-    from . import _dop853
 
 #: A time at the span's end whose square root rounds above ``tau_end`` still
 #: answers with the run's last radius.
@@ -140,9 +137,6 @@ def integrate_radius(
         tau_bound = min(tau_cap, math.sqrt(t_end)) if t_end is not None else tau_cap
     else:
         tau_bound = math.sqrt(t_end)
-
-    # the stepper is imported here, not with the package, so the closed forms load fast
-    from . import _dop853
 
     rate = _SquaredRadiusRate(eps)
     rtol, atol = config.rel_tol, config.abs_tol

@@ -46,7 +46,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .curves import MethodId, RadiusCurve, check_end, dissolution_time
+from . import _bdf
+from .curves import MethodId, RadiusCurve, bisect, check_end, dissolution_time
 from .errors import DomainError
 
 #: The analytic far field at the final time must stay below 1e-6 at the
@@ -158,12 +159,7 @@ def _solve_stretch_ratio(span: float, cells: int, h0: float) -> float:
             f"{cells + 1} nodes cannot span [1, {1 + span:.3g}] while resolving the "
             f"startup profile (first cell {h0:.3g}); increase nodes or t_init",
         )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if total(mid) < span:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = bisect(lambda q: total(q) < span, lo, hi)
     return 0.5 * (lo + hi)
 
 
@@ -377,9 +373,6 @@ def solve_moving_boundary(
 
     w0 = np.array([math.erfc(v) for v in (x - 1.0) * r_init * math.sqrt(math.pi / (4.0 * t_init))])
     w0[0], w0[-1] = 1.0, 0.0
-
-    # the stepper loads with the first solve, not with the package; LAPACK with the first factor
-    from . import _bdf
 
     rhs, jac = _mapped_system(x, eps, beta)
     run = _bdf.integrate(rhs, jac, _factor, t_init, np.append(w0[1:-1], r_init), t_stop,

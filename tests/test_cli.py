@@ -119,6 +119,27 @@ def test_negative_subnormal_epsilon_gives_the_curve_of_ones(capsys, method, eps)
     assert [float(radius) for _, radius in rows] == [1.0] * 8
 
 
+def test_exact_growth_curve_where_scale_times_t_overflows(capsys):
+    # scale * t overflows at t = 1e300 although t does not: the curve still reaches t_max
+    code, out, err = run_cli(capsys, "curve", "--epsilon=-1e6", "--t-max", "1e300",
+                             "--samples", "4")
+    assert code == 0, err
+    _, rows = parse_csv(out)
+    assert len(rows) == 4
+    assert float(rows[-1][0]) == 1e300
+    assert float(rows[-1][1]) == pytest.approx(spherediss.radius_at(-1e6, 1e300), rel=1e-5)
+
+
+@pytest.mark.parametrize("eps", ["-1e150", "0.1"])
+def test_exact_curve_below_the_normal_floats_is_a_domain_error(capsys, eps):
+    # the time grid would start ten decades below t_max = 1e-320: one line, exit code 3
+    code, out, err = run_cli(capsys, "curve", f"--epsilon={eps}", "--t-max", "1e-320",
+                             "--samples", "16")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("t_max: the curve ends at t=1e-320, too early") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("method", ["intuitive", "duda", "blended"])
 def test_zero_epsilon_gives_the_curve_of_ones(capsys, method):
     # these formulas give R = 1 at epsilon = 0, as exact, qss, small-time and ode do

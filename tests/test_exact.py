@@ -313,6 +313,37 @@ class TestExactCurve:
         with pytest.raises(DomainError):
             exact_curve(0.0, 10)
 
+    @pytest.mark.parametrize("eps,t_max", [(-1e6, 1e300), (-1e154, 1e300), (-1e4, 1e308),
+                                           (-0.5, 1.7976931348623157e308), (-1e153, 1e307)])
+    @pytest.mark.parametrize("n", [4, 16, 256])
+    def test_growth_where_scale_times_t_overflows(self, eps, t_max, n):
+        # scale * t overflows although t does not; radius_at answers there, and so must the curve
+        curve = exact_curve(eps, n, t_max)
+        assert curve.times[-1] == pytest.approx(t_max, rel=1e-12)
+        np.testing.assert_allclose(curve.radii, radius_at(eps, curve.times), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("eps,t_max", [
+        *((eps, t_max) for eps in (0.1, 3.0, 2.0, -1e150, -1e153, 1e154)
+          for t_max in (1e-320, 5e-324, 1e-310, 1e-308)),
+        (1e154, None),  # t0 = 2.5e-309
+    ])
+    def test_time_grid_below_the_normal_floats_is_refused(self, eps, t_max):
+        # the grid starts ten decades below its end; subnormal times there lose their digits
+        with pytest.raises(DomainError) as info:
+            exact_curve(eps, 16, t_max)
+        t0 = time_to_dissolution(eps) if eps > 0 else math.inf
+        # the parameter that set the end: t0 ends the curve at epsilon = 1e154
+        assert str(info.value).startswith("t_max: " if t_max and t_max <= t0 else "epsilon: ")
+        assert str(info.value).endswith("too early to sample from ten decades before "
+                                        "(below 2.07e-317)")
+
+    @pytest.mark.parametrize("eps,t_max", [(1e153, None), (0.1, 1e-305), (-1e150, 1e-306)])
+    def test_time_grid_reaching_the_subnormals_still_samples(self, eps, t_max):
+        # down to 2**-1052 the grid keeps 22 significant bits, inside the monotone slack
+        curve = exact_curve(eps, 256, t_max)
+        assert curve.times[0] >= 2.0**-1052
+        np.testing.assert_allclose(curve.radii, radius_at(eps, curve.times), rtol=0.0, atol=1e-6)
+
     @pytest.mark.parametrize("eps", [2.0, 5.0])
     def test_critical_and_supercritical_curves(self, eps):
         curve = exact_curve(eps, 128)
@@ -707,8 +738,14 @@ class TestFloatInversionMatchesTheParentDesign:
                                                   if eps > 0 else [None, -1.0])
         for n in (2, 17, 256):
             for t_max in t_ends:
-                assert (_outcome(exact_curve, eps, n, t_max)
-                        == _outcome(_seed_exact_curve, eps, n, t_max)), (n, t_max)
+                expected = _outcome(_seed_exact_curve, eps, n, t_max)
+                if expected == (RuntimeWarning, "overflow encountered in exp"):
+                    # the parent overflowed where scale * t does; now the curve reaches t_max
+                    curve = exact_curve(eps, n, t_max)
+                    assert curve.times[-1] == pytest.approx(t_max, rel=1e-12), (n, t_max)
+                    assert curve.radii.tobytes() == radius_at(eps, curve.times).tobytes()
+                    continue
+                assert _outcome(exact_curve, eps, n, t_max) == expected, (n, t_max)
 
     def test_refused_epsilons(self):
         for eps in (math.nan, math.inf, -math.inf, 1e200, -1e200):
