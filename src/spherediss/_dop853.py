@@ -9,7 +9,6 @@ rule, so both take the same steps; scipy itself is never imported.
 
 from __future__ import annotations
 
-import bisect
 import math
 
 from . import curves
@@ -213,19 +212,3 @@ def crossing(row: tuple, lo: float, hi: float, level: float) -> float:
     """Bisect one step's interpolant for the t in [lo, hi] where it falls to ``level``."""
     lo, hi = curves.bisect(lambda t: _interpolate(t, *row) > level, lo, hi, CROSSING_XTOL)
     return 0.5 * (lo + hi)
-
-
-class DenseOutput:
-    """Continuous solution over the accepted steps.
-
-    ``ts`` are the step boundaries (the last may be cut short of its step's
-    end) and ``rows`` the matching interpolants.
-    """
-
-    def __init__(self, ts: list[float], rows: list[tuple]):
-        self.ts = ts
-        self._rows = rows
-
-    def __call__(self, t: float) -> float:
-        i = min(max(bisect.bisect_left(self.ts, t) - 1, 0), len(self._rows) - 1)
-        return _interpolate(t, *self._rows[i])

@@ -38,6 +38,7 @@ from .curves import (
     check_epsilon,
     check_grid,
     check_not_past,
+    check_span,
     dissolution_time,
     query_times,
 )
@@ -254,6 +255,7 @@ def approx_curve(
     import numpy as np
     check_grid(eps, n, t_max)
     t_end = min(approx_t0(method, eps), t_max or math.inf) if eps > 0 else t_max
+    check_span(t_end, t_max)
     times = np.linspace(0.0, math.sqrt(t_end), n) ** 2
     return RadiusCurve(method, eps, times, approx_radius(method, eps, times),
                        {"samples": n, "t_max": t_max})

@@ -25,7 +25,7 @@ import sys
 from dataclasses import dataclass
 
 from . import __version__, approx, exact, model
-from .curves import MethodId, RadiusCurve, check_grid
+from .curves import MethodId, RadiusCurve, check_grid, check_span
 from .errors import DomainError, IntegrationError
 
 _ENV_PREFIX = "SPHEREDISS_"
@@ -150,6 +150,7 @@ def _method_curve(method: MethodId, eps: float, n: int, t_max: float | None) -> 
         check_grid(eps, n, t_max)
         run = _ode_run(eps, t_max)
         t_end = min(run.t_end, t_max) if t_max is not None else run.t_end
+        check_span(t_end, t_max)
         times = np.linspace(0.0, math.sqrt(t_end), n) ** 2
         return RadiusCurve(method, eps, times, run.radius_at(times), {"samples": n, "t_max": t_max})
     if method is MethodId.PDE_REFERENCE:

@@ -28,6 +28,10 @@ MAX_SAMPLES = 10**6
 # Allowance for integrator noise when validating sample monotonicity.
 _MONOTONE_SLACK = 1e-7
 
+#: The earliest time a curve samples or a parametric point reports: a subnormal
+#: time below it keeps under 22 bits, too few for the radius.
+EARLIEST_SAMPLE = 2.0**-1052
+
 
 class MethodId(enum.Enum):
     """Identifies which solution or approximation produced a curve.
@@ -162,6 +166,15 @@ def check_grid(eps: float, n: int, t_max: float | None) -> None:
     if n > MAX_SAMPLES:
         raise DomainError("n", f"at most {MAX_SAMPLES} samples, got {n}")
     check_end(eps, t_max, "t_max")
+
+
+def check_span(t_end: float, t_max: float | None) -> None:
+    """Refuse a curve ending at ``t_end`` (``t_max``, or the method's t0 if earlier)
+    less than ten decades after ``EARLIEST_SAMPLE``, where ``exact_curve`` starts."""
+    if t_end * 1e-10 < EARLIEST_SAMPLE:
+        raise DomainError("t_max" if t_end == t_max else "epsilon",
+                          f"the curve ends at t={t_end!r}, too early to sample from ten "
+                          f"decades before (below {EARLIEST_SAMPLE:.3g})")
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .curves import (
+    EARLIEST_SAMPLE,
     FLOAT_OPS,
     MethodId,
     RadiusCurve,
@@ -44,6 +45,7 @@ from .curves import (
     check_epsilon,
     check_grid,
     check_not_past,
+    check_span,
     dissolution_time,
     query_times,
 )
@@ -62,9 +64,10 @@ _ROUNDS_TO_ONE = 1e-17
 _NEWTON_MAX_ITER = 100
 _LN2, _LN3 = math.log(2.0), math.log(3.0)
 
-#: ``exact_curve``'s grid starts ten decades below its end, and not below this
-#: subnormal time: times there keep under 22 bits, too few for the radii.
-_EARLIEST_SAMPLE = 2.0**-1052
+
+def _rounds_to_one(eps: float, t, xp=FLOAT_OPS):
+    """Whether R rounds to 1.0 at the time or times t, for eps != 0."""
+    return t + 2.0 * xp.sqrt(t) <= _ROUNDS_TO_ONE / abs(eps)
 
 
 class _Branch(NamedTuple):
@@ -198,6 +201,8 @@ def _point(branch: _Branch, param: float) -> ParametricPoint:
         raise DomainError("param", f"must be {'>' if growth else '>='} {lower!r}, got {param!r}")
     g = param - lower
     t = branch.time(g)
+    if t < EARLIEST_SAMPLE:
+        raise DomainError("param", f"{param!r} gives t={t!r}, below {EARLIEST_SAMPLE:.3g}")
     return ParametricPoint(param, t, branch.radius(g, t), branch.regime)
 
 
@@ -267,9 +272,8 @@ def _radius(eps: float, branch: _Branch | None, t0: float, t: float) -> float:
         return 0.0
     if branch is None:
         return 1.0
-    root, size = math.sqrt(t), abs(eps)
-    if ((t < TINY_TIME and root <= 0.5 * _SHORTCUT_ERROR / size)
-            or t + 2.0 * root <= _ROUNDS_TO_ONE / size):
+    if ((t < TINY_TIME and math.sqrt(t) <= 0.5 * _SHORTCUT_ERROR / abs(eps))
+            or _rounds_to_one(eps, t)):
         return 1.0
     return branch.radius(_offset_at(branch, t), t)
 
@@ -285,21 +289,19 @@ def exact_curve(eps: float, n: int = 256, t_max: float | None = None) -> RadiusC
     """
     import numpy as np
     check_grid(eps, n, t_max)
-    # no growth, or growth that rounds away: the curve of ones, uniform in t
-    ones = eps == 0 or (eps < 0 and t_max + 2.0 * math.sqrt(t_max) <= _ROUNDS_TO_ONE / -eps)
-    metadata = {"samples": n, "parameter_grid": "uniform" if ones else "geometric",
+    t0 = time_to_dissolution(eps) if eps > 0 else math.inf
+    t_end = min(t_max, t0) if t_max is not None else t0
+    check_span(t_end, t_max)
+    # no change, or one that rounds away by the end: the curve of ones, uniform in t for
+    # eps <= 0, and for dissolution geometric in t over the ten decades its grid would span
+    ones = eps == 0 or _rounds_to_one(eps, t_end)
+    metadata = {"samples": n, "parameter_grid": "uniform" if ones and eps <= 0 else "geometric",
                 "t_max": t_max}
     if ones:
-        times = np.linspace(0.0, t_max, n)
+        times = np.geomspace(t_end * 1e-10, t_end, n) if eps > 0 else np.linspace(0.0, t_max, n)
         return RadiusCurve(MethodId.EXACT_QS, eps, times, np.ones(n), metadata)
 
     branch = _branch(eps)
-    t0 = time_to_dissolution(eps) if eps > 0 else math.inf
-    t_end = min(t_max, t0) if t_max is not None else t0
-    if t_end * 1e-10 < _EARLIEST_SAMPLE:
-        raise DomainError("t_max" if t_end == t_max else "epsilon",
-                          f"the curve ends at t={t_end!r}, too early to sample from ten "
-                          f"decades before (below {_EARLIEST_SAMPLE:.3g})")
     g_first = _offset_at(branch, t_end * 1e-10)
     if t_end >= t0:
         # include the extinction endpoint exactly, then fan out geometrically
@@ -309,11 +311,13 @@ def exact_curve(eps: float, n: int = 256, t_max: float | None = None) -> RadiusC
 
     # descending offset <=> ascending time
     offsets = np.sort(offsets)[::-1]
-    log_st = branch.curve(offsets, array_ops())[0]
+    xp = array_ops()
+    log_st = branch.curve(offsets, xp)[0]
     # as ``branch.time``, but where scale * t overflows the scale leaves through the exponent
     big = log_st > math.log(sys.float_info.max)
     times = np.exp(log_st - big * math.log(branch.scale)) / np.where(big, 1.0, branch.scale)
-    radii = branch.radius(offsets, times, array_ops())
+    # where R rounds to 1, 1 itself, as ``radius_at`` answers
+    radii = xp.where(_rounds_to_one(eps, times, xp), 1.0, branch.radius(offsets, times, xp))
     return RadiusCurve(MethodId.EXACT_QS, eps, times, radii, metadata)
 
 

@@ -14,10 +14,14 @@ and 7th-order dense output, on plain floats, so the oracle never imports
 scipy.  For eps > 0 the run stops once the radius falls to the configured
 floor and the dissolution time is reported by the analytic endpoint
 extrapolation t0 = t_stop + R_stop^2 / (2 eps).
+
+The run's ``RadiusCurve`` is its one record; ``RadiusIntegration`` adds the
+steps' interpolants and reads everything else from it.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -27,19 +31,21 @@ from . import _dop853
 from .curves import FLOAT_OPS, MethodId, RadiusCurve, check_end, dissolution_time, query_times
 from .errors import DomainError, IntegrationError
 
-#: A time at the span's end whose square root rounds above ``tau_end`` still
+#: A time at the span's end whose square root rounds above the last tau still
 #: answers with the run's last radius.
 _SQRT_ROUNDING = 1.0 + 1e-12
+
+#: Most accepted steps one run may take before it fails with ``IntegrationError``.
+MAX_STEPS = 100_000
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Tolerances and stopping controls for the oracle integrator."""
+    """Tolerances and the radius floor of the oracle integrator."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-10
     min_radius: float = 1e-8
-    max_steps: int = 100_000
 
     def __post_init__(self):
         if not 0.0 < self.rel_tol <= 1e-3:
@@ -48,35 +54,29 @@ class IntegratorConfig:
             raise DomainError("abs_tol", f"must lie in (0, 1e-3], got {self.abs_tol!r}")
         if not 0.0 < self.min_radius <= 1e-4:
             raise DomainError("min_radius", f"must lie in (0, 1e-4], got {self.min_radius!r}")
-        if self.max_steps < 1000:
-            raise DomainError("max_steps", f"must be at least 1000, got {self.max_steps!r}")
 
 
 class RadiusIntegration:
-    """Dense-output result of one oracle run.
-
-    ``curve`` holds the accepted solver steps; ``radius_at`` interpolates the
-    continuous solution anywhere inside the integrated span.
+    """Dense-output result of one oracle run: its ``curve`` of accepted steps,
+    their starts ``taus`` in tau = sqrt(t) (the last one the span's end) and
+    their interpolants ``rows``, which ``radius_at`` evaluates.
     """
 
-    def __init__(
-        self,
-        epsilon: float,
-        curve: RadiusCurve,
-        interpolant: _dop853.DenseOutput,
-        tau_end: float,
-        dissolution_time: float | None,
-    ):
-        self.epsilon = epsilon
+    def __init__(self, curve: RadiusCurve, taus: list[float], rows: list[tuple]):
         self.curve = curve
-        self._interpolant = interpolant
-        self._tau_end = tau_end
-        self.dissolution_time = dissolution_time
+        self._taus = taus
+        self._rows = rows
+
+    @property
+    def dissolution_time(self) -> float | None:
+        """Extrapolated complete-dissolution time, or None if the run did not reach the floor."""
+        return self.curve.metadata["dissolution_time"]
 
     @property
     def t_end(self) -> float:
-        """Last time covered by the dense output."""
-        return self._tau_end**2
+        """Last time covered: the last tau squared as a float (numpy's square in
+        ``curve.times`` can differ in the last bit)."""
+        return self._taus[-1] ** 2
 
     def radius_at(self, t):
         """Radius at ``t``, a float or an array of times (which returns an array).
@@ -92,13 +92,14 @@ class RadiusIntegration:
         return np.array([self._radius(x) for x in t.ravel().tolist()]).reshape(t.shape)
 
     def _radius(self, t: float) -> float:
-        tau = math.sqrt(t)
-        if tau < self._tau_end:
-            return math.sqrt(max(self._interpolant(tau), 0.0))
-        dissolved = self.dissolution_time is not None
-        if dissolved and self.t_end < t <= self.dissolution_time * (1.0 + 1e-9):
+        tau, taus = math.sqrt(t), self._taus
+        if tau < taus[-1]:
+            row = self._rows[max(bisect.bisect_left(taus, tau) - 1, 0)]
+            return math.sqrt(max(_dop853._interpolate(tau, *row), 0.0))
+        t_dissolved = self.dissolution_time
+        if t_dissolved is not None and self.t_end < t <= t_dissolved * (1.0 + 1e-9):
             return 0.0
-        if tau <= self._tau_end * _SQRT_ROUNDING:
+        if tau <= taus[-1] * _SQRT_ROUNDING:
             return float(self.curve.radii[-1])  # at the span's end, or past it by sqrt round-off
         raise DomainError("t", f"t={t!r} is outside the integrated span (<= {self.t_end:.6g})")
 
@@ -151,9 +152,9 @@ def integrate_radius(
     rejected = 0
     t_dissolved = None
     while tau < tau_bound:
-        if len(rows) >= config.max_steps:
+        if len(rows) >= MAX_STEPS:
             raise IntegrationError(
-                f"max_steps={config.max_steps} exceeded",
+                f"max_steps={MAX_STEPS} exceeded",
                 t=tau * tau,
                 radius=math.sqrt(max(y, 0.0)),
             )
@@ -177,13 +178,11 @@ def integrate_radius(
             break
         tau, y = tau_new, y_new
 
-    times = np.asarray(taus) ** 2
-    radii = np.sqrt(np.maximum(np.asarray(ys), 0.0))
     curve = RadiusCurve(
         MethodId.ODE_ORACLE,
         eps,
-        times,
-        radii,
+        np.asarray(taus) ** 2,
+        np.sqrt(np.maximum(np.asarray(ys), 0.0)),
         metadata={
             "rel_tol": config.rel_tol,
             "abs_tol": config.abs_tol,
@@ -194,5 +193,4 @@ def integrate_radius(
             "nfev": rate.nfev,
         },
     )
-    interpolant = _dop853.DenseOutput(taus, rows)
-    return RadiusIntegration(eps, curve, interpolant, taus[-1], t_dissolved)
+    return RadiusIntegration(curve, taus, rows)

@@ -30,8 +30,8 @@ LAPACK tridiagonal solve and a 2x2 system; no sparse matrix is built.  Of
 scipy only the extension with LAPACK's tridiagonal routines is loaded, from
 its file, without the ``scipy.linalg`` package (see ``_lapack``).
 
-The run starts from the analytic short-time profile at a small positive
-time, which sidesteps the incompatible initial/boundary data at t = 0.
+The run starts from the analytic short-time profile at the small positive
+time ``T_INIT``, which sidesteps the incompatible initial/boundary data at t = 0.
 """
 
 from __future__ import annotations
@@ -62,6 +62,9 @@ MAX_PRINCIPLE_TOL = 1e-6
 #: take reproduces the startup surface flux to within 5% (4.7% at q = 4).
 _CELLS_PER_WIDTH = 5.0
 
+#: Start time of every run, where the analytic short-time profile sets the field.
+T_INIT = 1e-6
+
 
 @dataclass(frozen=True)
 class PdeConfig:
@@ -77,7 +80,6 @@ class PdeConfig:
     rhat_max: float | None = None
     rel_tol: float = 1e-8
     abs_tol: float = 1e-8
-    t_init: float = 1e-6
     min_radius: float = 0.05
     t_end: float | None = None
 
@@ -90,12 +92,10 @@ class PdeConfig:
             value = getattr(self, name)
             if not 0.0 < value <= 1e-3:
                 raise DomainError(name, f"must lie in (0, 1e-3], got {value!r}")
-        if not 0.0 < self.t_init <= 1e-2:
-            raise DomainError("t_init", f"must lie in (0, 1e-2], got {self.t_init!r}")
         if not 0.0 < self.min_radius < 1.0:
             raise DomainError("min_radius", f"must lie in (0, 1), got {self.min_radius!r}")
-        if self.t_end is not None and (not math.isfinite(self.t_end) or self.t_end <= self.t_init):
-            raise DomainError("t_end", f"must exceed t_init={self.t_init!r}, got {self.t_end!r}")
+        if self.t_end is not None and (not math.isfinite(self.t_end) or self.t_end <= T_INIT):
+            raise DomainError("t_end", f"must exceed t_init={T_INIT!r}, got {self.t_end!r}")
 
 
 @dataclass(frozen=True)
@@ -128,8 +128,11 @@ class MovingBoundaryResult:
     curve: RadiusCurve
     snapshots: tuple[MappedField, ...]
     final_field: MappedField
-    stopped_on: str  # "t_end" or "min_radius"
-    config_used: PdeConfig
+
+    @property
+    def stopped_on(self) -> str:
+        """Why the run ended: "t_end" or "min_radius"."""
+        return self.curve.metadata["stopped_on"]
 
 
 def _surface_flux_weights(x: np.ndarray) -> tuple[float, float, float]:
@@ -157,7 +160,7 @@ def _solve_stretch_ratio(span: float, cells: int, h0: float) -> float:
         raise DomainError(
             "nodes",
             f"{cells + 1} nodes cannot span [1, {1 + span:.3g}] while resolving the "
-            f"startup profile (first cell {h0:.3g}); increase nodes or t_init",
+            f"startup profile (first cell {h0:.3g}); increase nodes",
         )
     lo, hi = bisect(lambda q: total(q) < span, lo, hi)
     return 0.5 * (lo + hi)
@@ -351,7 +354,8 @@ def solve_moving_boundary(
     ``density_ratio`` is the particle-to-medium density ratio; the physical
     convection term vanishes when it equals 1.  The run stops at
     ``config.t_end`` or when the radius falls to ``config.min_radius``,
-    whichever comes first.
+    whichever comes first.  Its curve is the run's one record: the mesh, the
+    tolerances, the start time, why it stopped and the work are its metadata.
     """
     config = config or PdeConfig()
     check_end(eps, config.t_end, "t_end")
@@ -359,26 +363,24 @@ def solve_moving_boundary(
         raise DomainError("density_ratio", f"must be positive, got {density_ratio!r}")
 
     beta = 1.0 - density_ratio
-    t_init = config.t_init
-    r_init = 1.0 - 2.0 * eps * math.sqrt(t_init)
+    r_init = 1.0 - 2.0 * eps * math.sqrt(T_INIT)
     # by default a dissolving run stops at the steady-flux bound 1/(2 eps)
     t_stop = config.t_end
     if t_stop is None:
         t_stop = dissolution_time(eps, lambda e: 0.5 / e, "pde")
 
     rhat_max = config.rhat_max or _default_rhat_max(eps, t_stop, config.min_radius)
-    startup_width = math.sqrt(4.0 * t_init / math.pi) / r_init
+    startup_width = math.sqrt(4.0 * T_INIT / math.pi) / r_init
     x, ratio = _build_grid(rhat_max, config.nodes, startup_width / _CELLS_PER_WIDTH)
     nodes = x.size
 
-    w0 = np.array([math.erfc(v) for v in (x - 1.0) * r_init * math.sqrt(math.pi / (4.0 * t_init))])
+    w0 = np.array([math.erfc(v) for v in (x - 1.0) * r_init * math.sqrt(math.pi / (4.0 * T_INIT))])
     w0[0], w0[-1] = 1.0, 0.0
 
     rhs, jac = _mapped_system(x, eps, beta)
-    run = _bdf.integrate(rhs, jac, _factor, t_init, np.append(w0[1:-1], r_init), t_stop,
+    run = _bdf.integrate(rhs, jac, _factor, T_INIT, np.append(w0[1:-1], r_init), t_stop,
                          config.rel_tol, config.abs_tol,
                          floor=config.min_radius if eps > 0 else None, t_eval=snapshot_times)
-    stopped_on = "min_radius" if run.stopped_at_floor else "t_end"
 
     curve = RadiusCurve(
         MethodId.PDE_REFERENCE,
@@ -392,8 +394,8 @@ def solve_moving_boundary(
             "stretch_ratio": ratio,
             "rel_tol": config.rel_tol,
             "abs_tol": config.abs_tol,
-            "t_init": t_init,
-            "stopped_on": stopped_on,
+            "t_init": T_INIT,
+            "stopped_on": "min_radius" if run.stopped_at_floor else "t_end",
             "nfev": run.nfev,
             "njev": run.njev,
             "nlu": run.nlu,
@@ -412,14 +414,8 @@ def solve_moving_boundary(
         if y_snap is None:
             raise DomainError(
                 "snapshot_times",
-                f"t={t_snap!r} outside the integrated span [{t_init:g}, {t_final:g}]",
+                f"t={t_snap!r} outside the integrated span [{T_INIT:g}, {t_final:g}]",
             )
         snapshots.append(field_at(t_snap, y_snap))
 
-    return MovingBoundaryResult(
-        curve=curve,
-        snapshots=tuple(snapshots),
-        final_field=field_at(t_final, run.y),
-        stopped_on=stopped_on,
-        config_used=config,
-    )
+    return MovingBoundaryResult(curve, tuple(snapshots), field_at(t_final, run.y))

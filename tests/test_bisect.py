@@ -76,7 +76,7 @@ def _seed_solve_stretch_ratio(span, cells, h0):
         raise DomainError(
             "nodes",
             f"{cells + 1} nodes cannot span [1, {1 + span:.3g}] while resolving the "
-            f"startup profile (first cell {h0:.3g}); increase nodes or t_init",
+            f"startup profile (first cell {h0:.3g}); increase nodes",
         )
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -173,8 +173,8 @@ class TestSearchesMatchTheirOwnLoops:
         tau_stop = _seed_crossing(row, lo, hi, level)
         assert np.float64(run.curve.times[-1]).tobytes() == np.float64(tau_stop**2).tobytes()
         # and levels on every step of the run, the floor row's with random ones
-        rng = np.random.default_rng(len(run._interpolant._rows))
-        for row in run._interpolant._rows:
+        rng = np.random.default_rng(len(run._rows))
+        for row in run._rows:
             lo, hi = row[0], row[0] + row[1]
             level = _dop853._interpolate(lo + float(rng.uniform(0.0, 1.0)) * row[1], *row)
             assert crossing(row, lo, hi, level) == _seed_crossing(row, lo, hi, level)

@@ -140,6 +140,19 @@ def test_exact_curve_below_the_normal_floats_is_a_domain_error(capsys, eps):
     assert err.startswith("t_max: the curve ends at t=1e-320, too early") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("method", ["exact", "qss", "small-time", "intuitive", "duda",
+                                    "blended", "ode"])
+@pytest.mark.parametrize("eps", ["-0.1", "0", "0.1"])
+def test_curve_too_early_for_its_samples_is_a_domain_error(capsys, method, eps):
+    # 16 increasing times do not fit below t_max = 5e-324: every sampler refuses it alike
+    code, out, err = run_cli(capsys, "curve", f"--epsilon={eps}", "--t-max", "5e-324",
+                             "--method", method, "--samples", "16")
+    assert code == 3
+    assert out == ""
+    assert err == ("t_max: the curve ends at t=5e-324, too early to sample from ten decades "
+                   "before (below 2.07e-317)\n")
+
+
 @pytest.mark.parametrize("method", ["intuitive", "duda", "blended"])
 def test_zero_epsilon_gives_the_curve_of_ones(capsys, method):
     # these formulas give R = 1 at epsilon = 0, as exact, qss, small-time and ode do

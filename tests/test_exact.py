@@ -171,6 +171,24 @@ class TestCriticalBranch:
             param_point_critical(-0.1)
 
 
+class TestParametricPointFloor:
+    @pytest.mark.parametrize("point", [
+        lambda: param_point_critical(1e160), lambda: param_point_critical(1e300),
+        lambda: param_point_dissolution(0.1, 1e200), lambda: param_point_growth(-0.1, 1e300),
+        lambda: param_point_supercritical(5.0, 1e300),
+    ])
+    def test_time_below_the_earliest_sample_is_refused(self, point):
+        # a subnormal t keeps too few bits for R, and below 5e-324 t rounds to 0
+        with pytest.raises(DomainError) as info:
+            point()
+        assert str(info.value).startswith("param: ")
+
+    def test_time_at_the_normal_floats_still_answers(self):
+        point = param_point_critical(1e150)
+        assert point.t >= 2.0**-1052
+        assert point.radius == pytest.approx(1.0, abs=1e-12)
+
+
 class TestMonotoneParameterization:
     @pytest.mark.parametrize(
         "time_of,lower",
@@ -343,6 +361,26 @@ class TestExactCurve:
         curve = exact_curve(eps, 256, t_max)
         assert curve.times[0] >= 2.0**-1052
         np.testing.assert_allclose(curve.radii, radius_at(eps, curve.times), rtol=0.0, atol=1e-6)
+
+    @pytest.mark.parametrize("eps,t_max", [(1e-300, 1e-11), (1e-308, 1.0), (1e-296, 1e-20),
+                                           (1e-20, 1e-4), (2.6e-8, 1e-20), (1e-17, 1e-2)])
+    @pytest.mark.parametrize("n", [2, 16, 256])
+    def test_dissolution_that_rounds_away_samples_the_ones(self, eps, t_max, n):
+        # where R rounds to 1 the branch's times and radii lose their digits; the curve
+        # holds radius_at's value 1 there, with times ten decades below t_max
+        curve = exact_curve(eps, n, t_max)
+        assert curve.times[0] == pytest.approx(1e-10 * t_max, rel=1e-9)
+        assert curve.times[-1] == pytest.approx(t_max, rel=1e-9)
+        assert curve.radii.tolist() == [1.0] * n == radius_at(eps, curve.times).tolist()
+
+    @pytest.mark.parametrize("eps", [10.0 ** k for k in range(-296, -7, 24)] + [3e-9])
+    def test_radius_rounding_to_one_is_one_at_every_sample(self, eps):
+        # where radius_at's rounding rule gives 1, so does every sample, on either side of it
+        for t_max in (10.0 ** k for k in range(-300, 5, 16)):
+            curve = exact_curve(eps, 64, t_max)
+            rounds = curve.times + 2.0 * np.sqrt(curve.times) <= 1e-17 / eps
+            assert np.all(curve.radii[rounds] == 1.0), t_max
+            assert np.all(radius_at(eps, curve.times[rounds]) == 1.0), t_max
 
     @pytest.mark.parametrize("eps", [2.0, 5.0])
     def test_critical_and_supercritical_curves(self, eps):
@@ -668,9 +706,13 @@ def _seed_exact_curve(eps, n=256, t_max=None):
     if ones:
         return RadiusCurve(MethodId.EXACT_QS, eps, np.linspace(0.0, t_max, n), np.ones(n),
                            metadata)
-    branch = _seed_branch(eps)
     t0 = _seed_time_to_dissolution(eps) if eps > 0 else math.inf
     t_end = min(t_max, t0) if t_max is not None else t0
+    if t_end + 2.0 * math.sqrt(t_end) <= 1e-17 / abs(eps):
+        # radius_at's rule, since applied to dissolution too: a curve that rounds away is ones
+        return RadiusCurve(MethodId.EXACT_QS, eps, np.geomspace(t_end * 1e-10, t_end, n),
+                           np.ones(n), metadata)
+    branch = _seed_branch(eps)
     g_first = _seed_offset_at(branch, t_end * 1e-10)
     if t_end >= t0:
         offsets = np.concatenate(([0.0], np.geomspace(1e-6 * (1.0 + branch.lower), g_first, n - 1)))
@@ -678,8 +720,10 @@ def _seed_exact_curve(eps, n=256, t_max=None):
         offsets = np.geomspace(_seed_offset_at(branch, t_end), g_first, n)
     offsets = np.sort(offsets)[::-1]
     times = branch.time(offsets, array_ops())
-    return RadiusCurve(MethodId.EXACT_QS, eps, times, branch.radius(offsets, times, array_ops()),
-                       metadata)
+    # and to every sample: where R rounds to 1 it is 1
+    radii = np.where(times + 2.0 * np.sqrt(times) <= 1e-17 / abs(eps), 1.0,
+                     branch.radius(offsets, times, array_ops()))
+    return RadiusCurve(MethodId.EXACT_QS, eps, times, radii, metadata)
 
 
 def _outcome(fn, *args):

@@ -11,6 +11,7 @@ from spherediss import (
     radius_at,
     time_to_dissolution,
 )
+from spherediss import ode
 
 
 class TestConfigValidation:
@@ -27,7 +28,6 @@ class TestConfigValidation:
             {"abs_tol": -1e-9},
             {"min_radius": 1e-3},
             {"min_radius": 0.0},
-            {"max_steps": 10},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -111,11 +111,10 @@ class TestSelfConvergence:
 
 
 class TestErrorPaths:
-    def test_max_steps_exceeded(self):
-        config = IntegratorConfig(max_steps=1000)
-        object.__setattr__(config, "max_steps", 3)  # force the runtime guard
+    def test_max_steps_exceeded(self, monkeypatch):
+        monkeypatch.setattr(ode, "MAX_STEPS", 3)  # force the runtime guard
         with pytest.raises(IntegrationError):
-            integrate_radius(0.1, config=config)
+            integrate_radius(0.1)
 
     def test_step_size_underflow_raises(self, monkeypatch):
         # a rate that never passes the error test shrinks the step until it underflows

@@ -39,7 +39,6 @@ class TestConfigValidation:
             {"rhat_max": math.inf},
             {"rel_tol": 0.0},
             {"abs_tol": 1.0},
-            {"t_init": 0.0},
             {"min_radius": 0.0},
             {"min_radius": 1.0},
             {"t_end": 1e-7},
