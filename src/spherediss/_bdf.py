@@ -22,6 +22,9 @@ import numpy as np
 from .curves import bisect
 from .errors import IntegrationError
 
+#: Most accepted steps one run may take before it fails with ``IntegrationError``.
+MAX_STEPS = 100_000
+
 MAX_ORDER = 5
 NEWTON_MAXITER = 4
 MIN_FACTOR = 0.2
@@ -127,7 +130,8 @@ def integrate(fun, jac, factor, t0: float, y0: np.ndarray, t_bound: float,
     With a ``floor`` the run stops where the state's last component falls to
     it, found by bisection on the crossing step's interpolant.  The states at
     ``t_eval`` come from the interpolant of the step that covers each time.
-    Raises ``IntegrationError`` when the step size underflows.
+    Raises ``IntegrationError`` when the step size underflows or a step past
+    ``MAX_STEPS`` is due.
     """
     counts = [0, 1, 0]  # nfev, njev, nlu: jac runs once at the start
 
@@ -154,6 +158,8 @@ def integrate(fun, jac, factor, t0: float, y0: np.ndarray, t_bound: float,
     y_eval = [None] * len(t_eval)
     stopped_at_floor = False
     while t < t_bound:
+        if len(ts) > MAX_STEPS:
+            raise IntegrationError(f"max_steps={MAX_STEPS} exceeded", t=t, radius=float(y[-1]))
         min_step = 10.0 * (math.nextafter(t, math.inf) - t)
         if h_abs < min_step:
             change = min_step / h_abs

@@ -212,6 +212,7 @@ def _cmd_compare(args) -> None:
             if method not in (MethodId.ODE_ORACLE, MethodId.PDE_REFERENCE)
         ]
     t_end = min(ends)
+    check_span(t_end, args.t_max)
 
     times = np.linspace(math.sqrt(t_end) / n, math.sqrt(t_end), n) ** 2
     exact_values = exact.radius_at(eps, times)

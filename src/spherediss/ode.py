@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,12 @@ _SQRT_ROUNDING = 1.0 + 1e-12
 
 #: Most accepted steps one run may take before it fails with ``IntegrationError``.
 MAX_STEPS = 100_000
+
+#: Largest scaled rate 4 |eps| / (abs_tol + rel_tol) a run accepts.  The step's
+#: error test squares errors of that order, and beyond the square root of the
+#: largest float the square overflows: the step control then rejects steps on
+#: non-finite norms, and at the default tolerances runs from eps = 1e149 on fail.
+_MAX_SCALED_RATE = math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -131,6 +138,10 @@ def integrate_radius(
     check_end(eps, t_end, "t_end")
     if config is None:
         config = IntegratorConfig()
+    rtol, atol = config.rel_tol, config.abs_tol
+    if 4.0 * abs(eps) / (atol + rtol) > _MAX_SCALED_RATE:
+        raise DomainError("epsilon", f"{eps!r} is too large for the oracle: 4|epsilon|/"
+                                     f"(abs_tol + rel_tol) exceeds {_MAX_SCALED_RATE:.3g}")
 
     if eps > 0:
         # complete dissolution always happens before the steady-flux bound 1/(2 eps)
@@ -140,7 +151,6 @@ def integrate_radius(
         tau_bound = math.sqrt(t_end)
 
     rate = _SquaredRadiusRate(eps)
-    rtol, atol = config.rel_tol, config.abs_tol
     floor_sq = config.min_radius**2
     tau, y = 0.0, 1.0
     f = rate(tau, y)

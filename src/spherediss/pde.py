@@ -30,8 +30,12 @@ LAPACK tridiagonal solve and a 2x2 system; no sparse matrix is built.  Of
 scipy only the extension with LAPACK's tridiagonal routines is loaded, from
 its file, without the ``scipy.linalg`` package (see ``_lapack``).
 
-The run starts from the analytic short-time profile at the small positive
-time ``T_INIT``, which sidesteps the incompatible initial/boundary data at t = 0.
+``solve_moving_boundary`` takes three steps.  ``_grid`` sizes the domain for
+the run's horizon and stretches the grid so that its first cell resolves the
+short-time profile.  ``_start`` sets that analytic profile at the small
+positive time ``T_INIT``, which sidesteps the incompatible initial/boundary
+data at t = 0.  ``_advance`` integrates from a start state on a grid and
+assembles the result; it takes any start, such as an exact solution's.
 """
 
 from __future__ import annotations
@@ -182,19 +186,6 @@ def _build_grid(rhat_max: float, nodes: int, h0: float) -> tuple[np.ndarray, flo
     return x, ratio
 
 
-def _default_rhat_max(eps: float, t_stop: float, min_radius: float) -> float:
-    # The mapped far-field width is the physical diffusion length over the
-    # smallest radius reached; for dissolution estimate that radius with the
-    # fastest-dissolving closed form, floored at the stopping radius.
-    if eps > 0:
-        reach = 1.0 - 2.0 * eps * (2.0 * math.sqrt(t_stop) + t_stop)
-        r_final = max(min_radius, math.sqrt(max(reach, 0.0)))
-    else:
-        r_final = 1.0  # growth only shrinks the mapped width
-    width = _FAR_FIELD_ARG * math.sqrt(4.0 * t_stop / math.pi) / r_final
-    return max(10.0, 1.0 + width)
-
-
 def _mapped_system(x: np.ndarray, eps: float, beta: float):
     """Right-hand side and analytic Jacobian of the method-of-lines system.
 
@@ -343,6 +334,70 @@ def _solute_drift(x: np.ndarray, y: np.ndarray, eps: float, beta: float) -> floa
     return field / ((1.0 - radius**3) * (1.0 - beta + 1.0 / (math.pi * eps)) / 3.0) - 1.0
 
 
+def _grid(eps: float, t_stop: float, config: PdeConfig) -> tuple[np.ndarray, float, float]:
+    """The grid x of a run to ``t_stop``, its ``rhat_max`` and its stretch ratio."""
+    rhat_max = config.rhat_max
+    if rhat_max is None:
+        # the far field stays below 1e-6 through t_stop: the mapped width is the physical
+        # diffusion length over the smallest radius reached, for dissolution estimated with
+        # the fastest-dissolving closed form and floored at the stopping radius
+        r_final = 1.0  # growth only shrinks the mapped width
+        if eps > 0:
+            reach = 1.0 - 2.0 * eps * (2.0 * math.sqrt(t_stop) + t_stop)
+            r_final = max(config.min_radius, math.sqrt(max(reach, 0.0)))
+        rhat_max = max(10.0, 1.0 + _FAR_FIELD_ARG * math.sqrt(4.0 * t_stop / math.pi) / r_final)
+    # the first cell resolves the short-time profile at T_INIT, whatever time a run starts at
+    startup_width = math.sqrt(4.0 * T_INIT / math.pi) / (1.0 - 2.0 * eps * math.sqrt(T_INIT))
+    x, ratio = _build_grid(rhat_max, config.nodes, startup_width / _CELLS_PER_WIDTH)
+    return x, rhat_max, ratio
+
+
+def _start(eps: float, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """The start time ``T_INIT`` and the state there on the grid x: the
+    short-time profile C = (R/r) erfc((r - R) sqrt(pi / 4t)) with
+    R = 1 - 2 eps sqrt(t), so w = x C = erfc((x - 1) R sqrt(pi / 4t))."""
+    r_init = 1.0 - 2.0 * eps * math.sqrt(T_INIT)
+    w = [math.erfc(v) for v in (x[1:-1] - 1.0) * r_init * math.sqrt(math.pi / (4.0 * T_INIT))]
+    return T_INIT, np.append(w, r_init)
+
+
+def _advance(grid: tuple[np.ndarray, float, float], eps: float, density_ratio: float,
+             t0: float, y0: np.ndarray, t_stop: float, rtol: float, atol: float,
+             floor: float | None, snapshot_times: Sequence[float]) -> MovingBoundaryResult:
+    """Integrate the mapped system on ``grid`` (x, rhat_max, stretch ratio)
+    from the state y0 = (w_1, ..., w_{N-2}, R) at t0 to t_stop, or until R
+    falls to ``floor``, and assemble the run's result."""
+    x, rhat_max, ratio = grid
+    beta = 1.0 - density_ratio
+    rhs, jac = _mapped_system(x, eps, beta)
+    run = _bdf.integrate(rhs, jac, _factor, t0, y0, t_stop, rtol, atol,
+                         floor=floor, t_eval=snapshot_times)
+
+    curve = RadiusCurve(MethodId.PDE_REFERENCE, eps, run.ts, run.last, metadata={
+        "density_ratio": density_ratio, "nodes": x.size, "rhat_max": rhat_max,
+        "stretch_ratio": ratio, "rel_tol": rtol, "abs_tol": atol, "t_init": t0,
+        "stopped_on": "min_radius" if run.stopped_at_floor else "t_end",
+        "nfev": run.nfev, "njev": run.njev, "nlu": run.nlu, "steps": run.steps,
+        "solute_drift": _solute_drift(x, run.y, eps, beta),
+    })
+
+    def field_at(t_snap: float, y: np.ndarray) -> MappedField:
+        concentration = np.concatenate(([1.0], y[:-1], [0.0])) / x
+        return MappedField(x.copy(), concentration, float(y[-1]), float(t_snap), density_ratio)
+
+    t_final = float(run.ts[-1])
+    snapshots = []
+    for t_snap, y_snap in zip(snapshot_times, run.y_eval):
+        if y_snap is None:
+            raise DomainError(
+                "snapshot_times",
+                f"t={t_snap!r} outside the integrated span [{t0:g}, {t_final:g}]",
+            )
+        snapshots.append(field_at(t_snap, y_snap))
+
+    return MovingBoundaryResult(curve, tuple(snapshots), field_at(t_final, run.y))
+
+
 def solve_moving_boundary(
     eps: float,
     density_ratio: float,
@@ -362,60 +417,11 @@ def solve_moving_boundary(
     if not math.isfinite(density_ratio) or density_ratio <= 0:
         raise DomainError("density_ratio", f"must be positive, got {density_ratio!r}")
 
-    beta = 1.0 - density_ratio
-    r_init = 1.0 - 2.0 * eps * math.sqrt(T_INIT)
     # by default a dissolving run stops at the steady-flux bound 1/(2 eps)
     t_stop = config.t_end
     if t_stop is None:
         t_stop = dissolution_time(eps, lambda e: 0.5 / e, "pde")
-
-    rhat_max = config.rhat_max or _default_rhat_max(eps, t_stop, config.min_radius)
-    startup_width = math.sqrt(4.0 * T_INIT / math.pi) / r_init
-    x, ratio = _build_grid(rhat_max, config.nodes, startup_width / _CELLS_PER_WIDTH)
-    nodes = x.size
-
-    w0 = np.array([math.erfc(v) for v in (x - 1.0) * r_init * math.sqrt(math.pi / (4.0 * T_INIT))])
-    w0[0], w0[-1] = 1.0, 0.0
-
-    rhs, jac = _mapped_system(x, eps, beta)
-    run = _bdf.integrate(rhs, jac, _factor, T_INIT, np.append(w0[1:-1], r_init), t_stop,
-                         config.rel_tol, config.abs_tol,
-                         floor=config.min_radius if eps > 0 else None, t_eval=snapshot_times)
-
-    curve = RadiusCurve(
-        MethodId.PDE_REFERENCE,
-        eps,
-        run.ts,
-        run.last,
-        metadata={
-            "density_ratio": density_ratio,
-            "nodes": nodes,
-            "rhat_max": rhat_max,
-            "stretch_ratio": ratio,
-            "rel_tol": config.rel_tol,
-            "abs_tol": config.abs_tol,
-            "t_init": T_INIT,
-            "stopped_on": "min_radius" if run.stopped_at_floor else "t_end",
-            "nfev": run.nfev,
-            "njev": run.njev,
-            "nlu": run.nlu,
-            "steps": run.steps,
-            "solute_drift": _solute_drift(x, run.y, eps, beta),
-        },
-    )
-
-    def field_at(t_snap: float, y: np.ndarray) -> MappedField:
-        concentration = np.concatenate(([1.0], y[:-1], [0.0])) / x
-        return MappedField(x.copy(), concentration, float(y[-1]), float(t_snap), density_ratio)
-
-    t_final = float(run.ts[-1])
-    snapshots = []
-    for t_snap, y_snap in zip(snapshot_times, run.y_eval):
-        if y_snap is None:
-            raise DomainError(
-                "snapshot_times",
-                f"t={t_snap!r} outside the integrated span [{T_INIT:g}, {t_final:g}]",
-            )
-        snapshots.append(field_at(t_snap, y_snap))
-
-    return MovingBoundaryResult(curve, tuple(snapshots), field_at(t_final, run.y))
+    grid = _grid(eps, t_stop, config)
+    t0, y0 = _start(eps, grid[0])
+    return _advance(grid, eps, density_ratio, t0, y0, t_stop, config.rel_tol, config.abs_tol,
+                    config.min_radius if eps > 0 else None, snapshot_times)

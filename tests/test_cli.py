@@ -153,6 +153,27 @@ def test_curve_too_early_for_its_samples_is_a_domain_error(capsys, method, eps):
                    "before (below 2.07e-317)\n")
 
 
+@pytest.mark.parametrize("eps", ["-0.1", "0", "0.1"])
+def test_compare_too_early_for_its_samples_is_a_domain_error(capsys, eps):
+    # compare samples its grid by the same floor as every curve sampler
+    code, out, err = run_cli(capsys, "compare", f"--epsilon={eps}", "--t-max", "5e-324",
+                             "--samples", "4", "--methods", "exact,qss")
+    assert code == 3
+    assert out == ""
+    assert err == ("t_max: the curve ends at t=5e-324, too early to sample from ten decades "
+                   "before (below 2.07e-317)\n")
+
+
+@pytest.mark.parametrize("eps", ["1e149", "1e150", "1e200", "1e300"])
+def test_ode_curve_at_a_huge_epsilon_is_a_domain_error(capsys, eps):
+    code, out, err = run_cli(capsys, "curve", "--epsilon", eps, "--method", "ode",
+                             "--samples", "4")
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"epsilon: {float(eps)!r} is too large for the oracle")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("method", ["intuitive", "duda", "blended"])
 def test_zero_epsilon_gives_the_curve_of_ones(capsys, method):
     # these formulas give R = 1 at epsilon = 0, as exact, qss, small-time and ode do

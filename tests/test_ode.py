@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -124,6 +125,21 @@ class TestErrorPaths:
         monkeypatch.setattr(_dop853, "step", lambda *args: None)
         with pytest.raises(IntegrationError, match="underflow"):
             integrate_radius(0.1)
+
+    @pytest.mark.parametrize("eps,t_end", [(1e149, None), (1e150, None), (1e200, None),
+                                           (1e300, None), (-1e150, 1.0)])
+    def test_huge_epsilon_is_a_domain_error(self, eps, t_end):
+        # the error test would square scaled rates 4 |eps| / (atol + rtol) past the float range
+        with pytest.raises(DomainError, match="^epsilon: .* too large for the oracle"):
+            integrate_radius(eps, t_end=t_end)
+
+    def test_largest_epsilon_follows_the_tolerances(self):
+        bound = math.sqrt(sys.float_info.max) * 2e-10 / 4.0  # default tolerances: 6.7e143
+        assert integrate_radius(0.99 * bound).dissolution_time is not None
+        with pytest.raises(DomainError):
+            integrate_radius(1.01 * bound)
+        loose = IntegratorConfig(rel_tol=1e-3, abs_tol=1e-3)
+        assert integrate_radius(1e149, config=loose).dissolution_time is not None
 
     def test_query_outside_span(self):
         run = integrate_radius(0.1, t_end=1.0)

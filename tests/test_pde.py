@@ -17,12 +17,14 @@ from spherediss import (
     solve_moving_boundary,
     time_to_dissolution,
 )
-from spherediss import _bdf
+from spherediss import _bdf, cli
 from spherediss.errors import IntegrationError
 from spherediss.pde import (
     _CELLS_PER_WIDTH,
+    _advance,
     _build_grid,
     _factor,
+    _grid,
     _lapack,
     _mapped_system,
     _solute_drift,
@@ -514,6 +516,24 @@ class TestBdfStepper:
         drift = _solute_drift(result.final_field.rhat, reference.y[:, -1], eps, 1.0 - ratio)
         assert meta["solute_drift"] == pytest.approx(drift, abs=1e-4)
 
+    def test_step_cap(self, monkeypatch, capsys):
+        # the default run takes its steps under a cap of exactly that many; one more raises,
+        # and the CLI reports it as a one-line solver error
+        steps = _run(0.1, 1.0).curve.metadata["steps"]
+        monkeypatch.setattr(_bdf, "MAX_STEPS", steps)
+        assert solve_moving_boundary(0.1, 1.0).curve.metadata["steps"] == steps
+        monkeypatch.setattr(_bdf, "MAX_STEPS", steps - 1)
+        with pytest.raises(IntegrationError, match=f"max_steps={steps - 1} exceeded"):
+            solve_moving_boundary(0.1, 1.0)
+        monkeypatch.setattr(_bdf, "MAX_STEPS", 50)
+        with pytest.raises(IntegrationError, match="max_steps=50 exceeded"):
+            solve_moving_boundary(0.1, 1.0)
+        capsys.readouterr()
+        assert cli.main(["pde", "--epsilon", "0.1", "--rho-ratio", "1.0"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("solver: max_steps=50 exceeded")
+        assert err.count("\n") == 1
+
     def test_step_size_underflow_raises(self):
         # a rate that turns non-finite at t = 0.5 defeats every Newton iteration there
         def factor(jacobian, c):
@@ -553,3 +573,76 @@ class TestBdfStepper:
         with pytest.raises(IntegrationError, match="initial step"):
             _bdf.integrate(lambda t, y: np.full(1, 1e308), lambda t, y: 0.0, factor, 0.0,
                            np.array([1.0]), 1.0, 1e-6, 1e-6)
+
+
+def _scriven_kernel(s, lam, beta):
+    return math.exp(-0.25 * math.pi * lam * lam * (s * s + 2.0 * beta / s)) / (s * s)
+
+
+@functools.lru_cache(maxsize=None)
+def _scriven_rate(eps, ratio):
+    """lam of R = lam sqrt(t): lam^2 / 2 = -eps f(1) / int_1^inf f."""
+    from scipy.integrate import quad
+    from scipy.optimize import brentq
+
+    beta = 1.0 - ratio
+
+    def excess(lam):
+        tail = quad(_scriven_kernel, 1.0, math.inf, args=(lam, beta))[0]
+        return 0.5 * lam * lam + eps * _scriven_kernel(1.0, lam, beta) / tail
+
+    return brentq(excess, 1e-3, 10.0, xtol=1e-14, rtol=1e-14)
+
+
+class TestScrivenGrowth:
+    """Growth from zero size, R = lam sqrt(t), solves the full problem exactly (Scriven
+    1959, Chem. Eng. Sci. 10, 1).  In x = r/R its field is stationary,
+    C(x) = int_x^inf f / int_1^inf f with f(s) = s^-2 exp(-(pi lam^2 / 4)(s^2 + 2 beta/s)).
+    The solver's core starts on it at R = 1, t_1 = 1/lam^2, and runs to 30 t_1 (R = 5.5);
+    a root lam exists only for |eps| pi rho_p/rho_m < 1."""
+
+    CASES = {(-0.01, 0.5): 0.158916, (-0.01, 1.0): 0.159645, (-0.01, 2.0): 0.161144,
+             (-0.1, 0.5): 0.680936, (-0.1, 1.0): 0.735238, (-0.1, 2.0): 0.924438,
+             (-0.25, 1.0): 2.467197}
+
+    @staticmethod
+    def _errors(eps, ratio, grid):
+        """Max |R / (lam sqrt t) - 1| of the run on ``grid``, and max |C - C_exact| at its end."""
+        from scipy.integrate import quad
+
+        lam, x = _scriven_rate(eps, ratio), grid[0]
+        beta = 1.0 - ratio
+        cells = [quad(_scriven_kernel, a, b, args=(lam, beta))[0] for a, b in zip(x[:-1], x[1:])]
+        tails = np.cumsum([quad(_scriven_kernel, x[-1], math.inf, args=(lam, beta))[0]]
+                          + cells[::-1])[::-1]
+        exact = tails / tails[0]
+        t1 = 1.0 / lam**2
+        config = PdeConfig()
+        result = _advance(grid, eps, ratio, t1, np.append((x * exact)[1:-1], 1.0), 30.0 * t1,
+                          config.rel_tol, config.abs_tol, None, ())
+        curve = result.curve
+        assert curve.metadata["t_init"] == t1 and curve.times[-1] == 30.0 * t1
+        radius_error = np.max(np.abs(curve.radii / (lam * np.sqrt(curve.times)) - 1.0))
+        return radius_error, np.max(np.abs(result.final_field.concentration - exact))
+
+    @pytest.mark.parametrize("eps,ratio", list(CASES))
+    def test_radius_and_field_on_the_solver_grid(self, eps, ratio):
+        lam = _scriven_rate(eps, ratio)
+        assert lam == pytest.approx(self.CASES[eps, ratio], abs=5e-7)
+        t_stop = 30.0 / lam**2
+        for nodes, bound in ((241, 8e-4), (961, 3e-5)):
+            grid = _grid(eps, t_stop, PdeConfig(nodes=nodes))
+            radius_error, field_error = self._errors(eps, ratio, grid)
+            assert radius_error <= bound, (nodes, radius_error)
+            assert field_error <= bound, (nodes, field_error)
+
+    def test_second_order_with_the_first_cell(self):
+        # convection at full strength: ratio 2, first cells 0.02, 0.01, 0.005
+        eps, ratio = -0.1, 2.0
+        rhat_max = _grid(eps, 30.0 / _scriven_rate(eps, ratio) ** 2, PdeConfig())[1]
+        errors = []
+        for nodes, h0 in ((241, 0.02), (481, 0.01), (961, 0.005)):
+            x, stretch = _build_grid(rhat_max, nodes, h0)
+            errors.append(self._errors(eps, ratio, (x, rhat_max, stretch))[0])
+        orders = [math.log2(coarse / fine) for coarse, fine in zip(errors, errors[1:])]
+        assert min(orders) >= 1.8, (errors, orders)
