@@ -6,13 +6,14 @@ Output is CSV (default) or JSON, to stdout or a file.  Display columns carry
 6 significant digits; ``--raw`` switches to full float precision.  ``pde``
 prints its JSON summary on stdout; its ``--output`` curve follows
 ``--format``/``--raw`` like every other command, and its snapshot files are
-always full-precision CSV.  Each ``SPHEREDISS_*`` tolerance variable, when
-unset, falls back to the solver config's own default.  Exit codes: 0
-success, 2 argument error, 3 domain error (a value outside some formula's
-validity range), with a one-line ``argument: message`` diagnostic on stderr;
-an ``--output`` or ``--snapshot-prefix`` path that cannot be written is an
-argument error, and a solver that cannot finish its run is exit 3 with a
-one-line ``solver: message``.
+always full-precision CSV.  The ODE oracle runs at ``IntegratorConfig``'s
+defaults and the moving-boundary solver at ``PdeConfig``'s, apart from what
+``pde``'s flags set.  Exit codes: 0 success, 2 argument error, 3 domain
+error (a value outside some formula's validity range), with a one-line
+``argument: message`` diagnostic on stderr; an ``--output`` or
+``--snapshot-prefix`` path that cannot be written is an argument error, and
+a solver that cannot finish its run is exit 3 with a one-line
+``solver: message``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 
@@ -28,37 +28,11 @@ from . import __version__, approx, exact, model
 from .curves import MethodId, RadiusCurve, check_grid, check_span
 from .errors import DomainError, IntegrationError
 
-_ENV_PREFIX = "SPHEREDISS_"
-
-
-def _env_float(name: str, default: float) -> float:
-    """``SPHEREDISS_<name>`` as a float, or ``default`` when it is unset."""
-    raw = os.environ.get(_ENV_PREFIX + name)
-    if raw is None:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        raise DomainError(_ENV_PREFIX + name, f"not a number: {raw!r}") from None
-
-
-def _ode_run(eps: float, t_end: float | None):
-    """The ODE oracle's run, its tolerances overridden by ``SPHEREDISS_ODE_*``."""
-    from . import ode
-    cls = ode.IntegratorConfig
-    config = cls(rel_tol=_env_float("ODE_RTOL", cls.rel_tol),
-                 abs_tol=_env_float("ODE_ATOL", cls.abs_tol),
-                 min_radius=_env_float("ODE_MIN_RADIUS", cls.min_radius))
-    return ode.integrate_radius(eps, t_end=t_end, config=config)
-
 
 def _pde_run(eps: float, rho_ratio: float, snapshot_times=(), **fields):
     """The moving-boundary solve; a field given as None keeps ``PdeConfig``'s default."""
     from . import pde
-    cls = pde.PdeConfig
-    config = cls(rel_tol=_env_float("PDE_RTOL", cls.rel_tol),
-                 abs_tol=_env_float("PDE_ATOL", cls.abs_tol),
-                 **{name: value for name, value in fields.items() if value is not None})
+    config = pde.PdeConfig(**{name: value for name, value in fields.items() if value is not None})
     return pde.solve_moving_boundary(eps, rho_ratio, config, snapshot_times=snapshot_times)
 
 
@@ -147,8 +121,9 @@ def _method_curve(method: MethodId, eps: float, n: int, t_max: float | None) -> 
         return exact.exact_curve(eps, n, t_max)
     if method is MethodId.ODE_ORACLE:
         import numpy as np
+        from . import ode
         check_grid(eps, n, t_max)
-        run = _ode_run(eps, t_max)
+        run = ode.integrate_radius(eps, t_end=t_max)
         t_end = min(run.t_end, t_max) if t_max is not None else run.t_end
         check_span(t_end, t_max)
         times = np.linspace(0.0, math.sqrt(t_end), n) ** 2
@@ -222,7 +197,8 @@ def _cmd_compare(args) -> None:
         if method is MethodId.EXACT_QS:
             values = exact_values
         elif method is MethodId.ODE_ORACLE:
-            run = _ode_run(eps, None if eps > 0 else float(times[-1]))
+            from . import ode
+            run = ode.integrate_radius(eps, t_end=None if eps > 0 else float(times[-1]))
             # the run's own t0 may fall short of the exact one the grid ends at: R = 0 there
             dissolved = run.dissolution_time
             values = run.radius_at(times if dissolved is None else np.minimum(times, dissolved))

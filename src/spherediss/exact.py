@@ -61,6 +61,9 @@ _SHORTCUT_ERROR = 1e-6
 #: |R - 1| <= |eps| (t + 2 sqrt(t)); below this bound R rounds to 1.0.
 _ROUNDS_TO_ONE = 1e-17
 
+#: The smallest offset whose 2/g, in the growth branch's time, stays finite.
+_SMALLEST_OFFSET = 2.0 / sys.float_info.max
+
 _NEWTON_MAX_ITER = 100
 _LN2, _LN3 = math.log(2.0), math.log(3.0)
 
@@ -275,7 +278,16 @@ def _radius(eps: float, branch: _Branch | None, t0: float, t: float) -> float:
     if ((t < TINY_TIME and math.sqrt(t) <= 0.5 * _SHORTCUT_ERROR / abs(eps))
             or _rounds_to_one(eps, t)):
         return 1.0
-    return branch.radius(_offset_at(branch, t), t)
+    return _radius_in_range(branch, _offset_at(branch, t), t, "t")
+
+
+def _radius_in_range(branch: _Branch, g: float, t: float, param: str) -> float:
+    """R at offset g and time t, unless growth has outrun the floats: at |eps| near
+    1e154 R is about 2/g, so an offset below ``_SMALLEST_OFFSET`` or an infinite R."""
+    radius = branch.radius(g, t)
+    if radius == math.inf or g < _SMALLEST_OFFSET:
+        raise DomainError(param, f"the radius at t={t!r} exceeds the largest float")
+    return radius
 
 
 def exact_curve(eps: float, n: int = 256, t_max: float | None = None) -> RadiusCurve:
@@ -307,7 +319,9 @@ def exact_curve(eps: float, n: int = 256, t_max: float | None = None) -> RadiusC
         # include the extinction endpoint exactly, then fan out geometrically
         offsets = np.concatenate(([0.0], np.geomspace(1e-6 * (1.0 + branch.lower), g_first, n - 1)))
     else:
-        offsets = np.geomspace(_offset_at(branch, t_end), g_first, n)
+        g_end = _offset_at(branch, t_end)
+        _radius_in_range(branch, g_end, t_end, "t_max")
+        offsets = np.geomspace(g_end, g_first, n)
 
     # descending offset <=> ascending time
     offsets = np.sort(offsets)[::-1]
@@ -315,7 +329,10 @@ def exact_curve(eps: float, n: int = 256, t_max: float | None = None) -> RadiusC
     log_st = branch.curve(offsets, xp)[0]
     # as ``branch.time``, but where scale * t overflows the scale leaves through the exponent
     big = log_st > math.log(sys.float_info.max)
-    times = np.exp(log_st - big * math.log(branch.scale)) / np.where(big, 1.0, branch.scale)
+    with np.errstate(over="ignore"):
+        times = np.exp(log_st - big * math.log(branch.scale)) / np.where(big, 1.0, branch.scale)
+    if times[-1] == math.inf:  # rounding carried a t_max next to the largest float past it
+        times[-1] = t_end
     # where R rounds to 1, 1 itself, as ``radius_at`` answers
     radii = xp.where(_rounds_to_one(eps, times, xp), 1.0, branch.radius(offsets, times, xp))
     return RadiusCurve(MethodId.EXACT_QS, eps, times, radii, metadata)

@@ -446,22 +446,30 @@ class TestPdeCommand:
         assert err.startswith("solver: ") and err.count("\n") == 1
 
 
-class TestEnvOverrides:
-    def test_bogus_env_value_is_domain_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("SPHEREDISS_ODE_RTOL", "three")
-        code, _, err = run_cli(
-            capsys, "curve", "--epsilon", "0.1", "--method", "ode", "--samples", "8"
-        )
-        assert code == 3
-        assert err.startswith("SPHEREDISS_ODE_RTOL:")
+class TestNoEnvironmentOverrides:
+    COMMANDS = [
+        ["curve", "--epsilon", "0.1", "--method", "ode", "--samples", "8"],
+        ["compare", "--epsilon", "0.1", "--methods", "exact,ode", "--samples", "8"],
+        ["pde", "--epsilon", "0.1", "--rho-ratio", "1.0", "--t-end", "0.05",
+         "--output", "{dir}/pde.csv", "--snapshot-times", "0.05", "--snapshot-prefix",
+         "{dir}/snap"],
+    ]
 
-    def test_env_override_applies(self, capsys, monkeypatch):
-        monkeypatch.setenv("SPHEREDISS_ODE_RTOL", "1e-6")
-        monkeypatch.setenv("SPHEREDISS_ODE_ATOL", "1e-6")
-        code, out, _ = run_cli(
-            capsys, "curve", "--epsilon", "0.1", "--method", "ode", "--samples", "8"
-        )
-        assert code == 0
+    def outputs(self, capsys, directory):
+        directory.mkdir()
+        runs = [run_cli(capsys, *(arg.replace("{dir}", str(directory)) for arg in argv))[:2]
+                for argv in self.COMMANDS]
+        return runs, {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+    def test_solver_variables_change_no_byte(self, capsys, monkeypatch, tmp_path):
+        # the solvers run at their library defaults, whatever the shell exports
+        plain = self.outputs(capsys, tmp_path / "plain")
+        assert [code for code, _ in plain[0]] == [0, 0, 0]
+        assert sorted(plain[1]) == ["pde.csv", "snap_000.csv"]
+        for name, value in {"ODE_RTOL": "1e-6", "ODE_ATOL": "three", "ODE_MIN_RADIUS": "1e-5",
+                            "PDE_RTOL": "1e-7", "PDE_ATOL": "1e-4"}.items():
+            monkeypatch.setenv("SPHEREDISS_" + name, value)
+        assert self.outputs(capsys, tmp_path / "exported") == plain
 
 
 def run_python(code):

@@ -332,13 +332,30 @@ class TestExactCurve:
             exact_curve(0.0, 10)
 
     @pytest.mark.parametrize("eps,t_max", [(-1e6, 1e300), (-1e154, 1e300), (-1e4, 1e308),
-                                           (-0.5, 1.7976931348623157e308), (-1e153, 1e307)])
+                                           (-0.5, 1.7976931348623157e308), (-1e153, 1e307),
+                                           (-1e154, 8e307)])
     @pytest.mark.parametrize("n", [4, 16, 256])
     def test_growth_where_scale_times_t_overflows(self, eps, t_max, n):
         # scale * t overflows although t does not; radius_at answers there, and so must the curve
         curve = exact_curve(eps, n, t_max)
         assert curve.times[-1] == pytest.approx(t_max, rel=1e-12)
         np.testing.assert_allclose(curve.radii, radius_at(eps, curve.times), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("eps", [-1e-100, -1e-200, -5e-324])
+    def test_growth_to_the_largest_float(self, eps):
+        # t = exp(log(scale t)) / scale can round past the largest float: the last time is t_max
+        curve = exact_curve(eps, 16, 1.7976931348623157e308)
+        assert curve.times[-1] == 1.7976931348623157e308
+        np.testing.assert_allclose(curve.radii, radius_at(eps, curve.times), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("eps,t_max", [(-1e154, 1.7976931348623157e308), (-1e154, 8.1e307),
+                                           (-7e153, 1.7976931348623157e308)])
+    def test_growth_past_the_largest_float_is_refused(self, eps, t_max):
+        # R = (a g + b) sqrt(t) leaves the floats before t does: no radius, no curve to t_max
+        with pytest.raises(DomainError, match=r"^t: the radius at t=.* exceeds the largest float$"):
+            radius_at(eps, t_max)
+        with pytest.raises(DomainError, match=r"^t_max: the radius at t="):
+            exact_curve(eps, 16, t_max)
 
     @pytest.mark.parametrize("eps,t_max", [
         *((eps, t_max) for eps in (0.1, 3.0, 2.0, -1e150, -1e153, 1e154)
@@ -511,7 +528,7 @@ class TestBranchEdgesAgainstMpmath:
         assert abs(radius_at(eps, t) - reference) <= 1e-12 * max(abs(reference), 1)
 
     @pytest.mark.parametrize(
-        "eps,t", [(-0.1, 1e6), (-1e6, 1.0), (-1e-8, 10.0), (-0.1, 1e300)]
+        "eps,t", [(-0.1, 1e6), (-1e6, 1.0), (-1e-8, 10.0), (-0.1, 1e300), (-1e154, 8e307)]
     )
     def test_radius_during_growth(self, mp, eps, t):
         reference = _mp_radius(mp, eps, t)
