@@ -232,7 +232,7 @@ def _cmd_pde(args) -> None:
     snapshot_times = _parse_float_list(args.snapshot_times, "snapshot-times") \
         if args.snapshot_times else []
     result = _pde_run(args.epsilon, args.rho_ratio, snapshot_times, nodes=args.nodes,
-                      rhat_max=args.rhat_max, t_end=args.t_end, min_radius=args.min_radius)
+                      t_end=args.t_end, min_radius=args.min_radius)
     curve = result.curve
 
     # deviation from the exact quasi-stationary radius at the sampled times
@@ -363,7 +363,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pde_cmd.add_argument("--epsilon", type=float, required=True)
     pde_cmd.add_argument("--rho-ratio", type=float, required=True, dest="rho_ratio")
     pde_cmd.add_argument("--nodes", type=int)
-    pde_cmd.add_argument("--rhat-max", type=float, default=None, dest="rhat_max")
     pde_cmd.add_argument("--t-end", type=float, default=None, dest="t_end")
     pde_cmd.add_argument("--min-radius", type=float, dest="min_radius")
     pde_cmd.add_argument("--snapshot-times", default=None, dest="snapshot_times",

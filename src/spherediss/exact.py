@@ -101,6 +101,7 @@ class _Branch(NamedTuple):
 
 def _branch(eps: float, regime: Regime | None = None) -> _Branch:
     """The branch table entry for ``eps``, which must lie in ``regime`` if given."""
+    eps = float(eps)  # a numpy scalar would carry its type and warnings into every branch value
     found = classify_regime(eps)
     if regime is not None and found is not regime:
         raise DomainError("epsilon", f"{regime.value} branch does not cover epsilon={eps!r}")

@@ -12,8 +12,8 @@ scalar DOP853 of ``_dop853`` (the Dormand-Prince 8(5,3) pair of Hairer,
 Norsett & Wanner, "Solving ODEs I", sec. II.5) with scipy's step-size rules
 and 7th-order dense output, on plain floats, so the oracle never imports
 scipy.  For eps > 0 the run stops once the radius falls to the configured
-floor and the dissolution time is reported by the analytic endpoint
-extrapolation t0 = t_stop + R_stop^2 / (2 eps).
+floor and the dissolution time is extrapolated: R dR/dtau = -2 eps (tau + R)
+is solved from the floor to 0 with tau held at tau_stop, so t0 = (tau_stop + dtau)^2.
 
 The run's ``RadiusCurve`` is its one record; ``RadiusIntegration`` adds the
 steps' interpolants and reads everything else from it.
@@ -184,7 +184,12 @@ def integrate_radius(
             tau_stop = _dop853.crossing(row, tau, tau_new, floor_sq)
             taus[-1] = tau_stop
             ys[-1] = floor_sq
-            t_dissolved = tau_stop**2 + floor_sq / (2.0 * eps)
+            # from the floor to 0 with tau held: 2 eps dtau = tau_stop (x - log1p x), x = R/tau,
+            # and x - log1p(x) = x^2/2 - x^3/3 + ... summed where the difference would cancel
+            x = config.min_radius / tau_stop
+            gap = sum((-x) ** k / k for k in range(2, 20)) if x < 0.1 else x - math.log1p(x)
+            dtau = tau_stop * gap / (2.0 * eps)
+            t_dissolved = tau_stop**2 + dtau * (2.0 * tau_stop + dtau)
             break
         tau, y = tau_new, y_new
 

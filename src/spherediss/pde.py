@@ -69,33 +69,26 @@ _CELLS_PER_WIDTH = 5.0
 #: Start time of every run, where the analytic short-time profile sets the field.
 T_INIT = 1e-6
 
+#: Relative and absolute error tolerances of every run's BDF steps.
+RTOL = ATOL = 1e-8
+
 
 @dataclass(frozen=True)
 class PdeConfig:
-    """Mesh and stepping controls for the moving-boundary solver.
+    """Mesh size, radius floor and horizon of a moving-boundary run.
 
-    ``rhat_max`` defaults to automatic sizing: the domain is truncated where
-    the far field stays below 1e-6 through the final time.  The grid's
-    stretching is always chosen so the startup profile is resolved near the
-    surface with the available node budget.
+    The solver sizes the domain itself, truncating it where the far field
+    stays below 1e-6 through the final time, and stretches the grid so the
+    startup profile is resolved near the surface with the available nodes.
     """
 
     nodes: int = 241
-    rhat_max: float | None = None
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-8
     min_radius: float = 0.05
     t_end: float | None = None
 
     def __post_init__(self):
         if not isinstance(self.nodes, int) or self.nodes < 100:
             raise DomainError("nodes", f"need at least 100 nodes, got {self.nodes!r}")
-        if self.rhat_max is not None and not 10.0 <= self.rhat_max < math.inf:
-            raise DomainError("rhat_max", f"must be finite and >= 10, got {self.rhat_max!r}")
-        for name in ("rel_tol", "abs_tol"):
-            value = getattr(self, name)
-            if not 0.0 < value <= 1e-3:
-                raise DomainError(name, f"must lie in (0, 1e-3], got {value!r}")
         if not 0.0 < self.min_radius < 1.0:
             raise DomainError("min_radius", f"must lie in (0, 1), got {self.min_radius!r}")
         if self.t_end is not None and (not math.isfinite(self.t_end) or self.t_end <= T_INIT):
@@ -177,8 +170,8 @@ def _build_grid(rhat_max: float, nodes: int, h0: float) -> tuple[np.ndarray, flo
     if ratio == 1.0:
         return np.linspace(1.0, rhat_max, nodes), ratio
     if cells * math.log(ratio) > 300.0:
-        raise DomainError("rhat_max", f"{rhat_max!r} needs a stretching ratio of {ratio:.6g}, "
-                                      f"too aggressive for {nodes} nodes")
+        raise DomainError("nodes", f"{nodes} nodes need a stretching ratio of {ratio:.6g} to "
+                                   f"span [1, {rhat_max:.3g}]; shorten the run or increase nodes")
     h0 = span * (ratio - 1.0) / (ratio**cells - 1.0)
     steps = h0 * ratio ** np.arange(cells)
     x = np.concatenate(([1.0], 1.0 + np.cumsum(steps)))
@@ -336,16 +329,14 @@ def _solute_drift(x: np.ndarray, y: np.ndarray, eps: float, beta: float) -> floa
 
 def _grid(eps: float, t_stop: float, config: PdeConfig) -> tuple[np.ndarray, float, float]:
     """The grid x of a run to ``t_stop``, its ``rhat_max`` and its stretch ratio."""
-    rhat_max = config.rhat_max
-    if rhat_max is None:
-        # the far field stays below 1e-6 through t_stop: the mapped width is the physical
-        # diffusion length over the smallest radius reached, for dissolution estimated with
-        # the fastest-dissolving closed form and floored at the stopping radius
-        r_final = 1.0  # growth only shrinks the mapped width
-        if eps > 0:
-            reach = 1.0 - 2.0 * eps * (2.0 * math.sqrt(t_stop) + t_stop)
-            r_final = max(config.min_radius, math.sqrt(max(reach, 0.0)))
-        rhat_max = max(10.0, 1.0 + _FAR_FIELD_ARG * math.sqrt(4.0 * t_stop / math.pi) / r_final)
+    # the far field stays below 1e-6 through t_stop: the mapped width is the physical
+    # diffusion length over the smallest radius reached, for dissolution estimated with
+    # the fastest-dissolving closed form and floored at the stopping radius
+    r_final = 1.0  # growth only shrinks the mapped width
+    if eps > 0:
+        reach = 1.0 - 2.0 * eps * (2.0 * math.sqrt(t_stop) + t_stop)
+        r_final = max(config.min_radius, math.sqrt(max(reach, 0.0)))
+    rhat_max = max(10.0, 1.0 + _FAR_FIELD_ARG * math.sqrt(4.0 * t_stop / math.pi) / r_final)
     # the first cell resolves the short-time profile at T_INIT, whatever time a run starts at
     startup_width = math.sqrt(4.0 * T_INIT / math.pi) / (1.0 - 2.0 * eps * math.sqrt(T_INIT))
     x, ratio = _build_grid(rhat_max, config.nodes, startup_width / _CELLS_PER_WIDTH)
@@ -423,5 +414,5 @@ def solve_moving_boundary(
         t_stop = dissolution_time(eps, lambda e: 0.5 / e, "pde")
     grid = _grid(eps, t_stop, config)
     t0, y0 = _start(eps, grid[0])
-    return _advance(grid, eps, density_ratio, t0, y0, t_stop, config.rel_tol, config.abs_tol,
+    return _advance(grid, eps, density_ratio, t0, y0, t_stop, RTOL, ATOL,
                     config.min_radius if eps > 0 else None, snapshot_times)

@@ -397,14 +397,32 @@ class TestNondim:
 class TestPdeCommand:
     @pytest.mark.parametrize("argv, param", [
         (["--epsilon", "1e-320"], "epsilon"),  # the default horizon 1/(2 eps) overflows
-        (["--epsilon", "0.1", "--rhat-max", "inf"], "rhat_max"),
-        (["--epsilon", "0.1", "--rhat-max", "1e140"], "rhat_max"),  # stretching too steep
+        (["--epsilon", "-0.1", "--t-end", "1e260"], "nodes"),  # stretching too steep
     ])
     def test_unusable_horizon_or_domain_is_a_one_line_domain_error(self, capsys, argv, param):
         code, out, err = run_cli(capsys, "pde", "--rho-ratio", "1", *argv)
         assert code == 3
         assert out == ""
         assert err.startswith(f"{param}: ") and err.count("\n") == 1
+
+    def test_removed_domain_flag_is_an_argument_error(self, capsys):
+        # the solver sizes the domain from the horizon; there is no --rhat-max
+        code, out, err = run_cli(capsys, "pde", "--epsilon", "0.1", "--rho-ratio", "1",
+                                 "--rhat-max", "20")
+        assert code == 2 and out == "" and "--rhat-max" in err
+
+    def test_nodes_and_min_radius_flags(self, capsys):
+        code, out, _ = run_cli(capsys, "pde", "--epsilon", "1.0", "--rho-ratio", "1",
+                               "--min-radius", "0.5")
+        summary = json.loads(out)
+        assert code == 0 and summary["stopped_on"] == "min_radius"
+        assert summary["final_radius"] == pytest.approx(0.5, abs=1e-6)
+        code, out, _ = run_cli(capsys, "pde", "--epsilon", "0.1", "--rho-ratio", "1",
+                               "--t-end", "0.05", "--nodes", "121")
+        assert code == 0 and json.loads(out)["mesh"]["nodes"] == 121
+        code, out, err = run_cli(capsys, "pde", "--epsilon", "0.1", "--rho-ratio", "1",
+                                 "--nodes", "99")
+        assert code == 3 and out == "" and err.startswith("nodes: ")
 
     def test_summary_json(self, capsys, tmp_path):
         curve_path = tmp_path / "pde.csv"

@@ -269,6 +269,19 @@ class TestRadiusAt:
         if kind != "0-d array":
             assert type(radius) is float
 
+    @pytest.mark.parametrize("eps,t", [(0.1, 1.0), (-0.2, 1.0), (2.0, 0.01), (3.0, 0.01)])
+    def test_numpy_scalar_epsilon_matches_the_float_call(self, eps, t):
+        radius = radius_at(np.float64(eps), t)
+        assert type(radius) is float and radius.hex() == radius_at(eps, t).hex()
+
+    def test_numpy_scalar_epsilon_of_subnormal_size_does_not_warn(self):
+        # 1e300 / scale overflows in numpy's scalar type, and warns, where a float does not
+        t_max = 1.7976931348623157e308
+        curve = exact_curve(np.float64(-5e-324), 16, t_max)
+        reference = exact_curve(-5e-324, 16, t_max)
+        assert curve.times.tobytes() == reference.times.tobytes()
+        assert curve.radii.tobytes() == reference.radii.tobytes()
+
     def test_inversion_residual(self):
         # the returned radius must identify a parameter whose time matches
         for eps, reconstruct in [

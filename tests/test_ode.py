@@ -48,6 +48,15 @@ class TestDissolution:
                 time_to_dissolution(eps), rel=1e-6
             )
 
+    @pytest.mark.parametrize("eps", [1e4, 1e10, 1e14, 1e16, 1e50, 1e140])
+    def test_extrapolation_adds_no_error_at_large_eps(self, eps):
+        # near the floor tau is no longer large against R: the flux's 1/sqrt(t) term
+        # carries the last stretch, and 1/R alone overshoots t0 by up to 2x and beyond
+        run = integrate_radius(eps)
+        exact = time_to_dissolution(eps)
+        stop_error = abs(run.t_end / exact - 1.0)
+        assert abs(run.dissolution_time / exact - 1.0) <= stop_error + 1e-8
+
     def test_curve_starts_at_unity_and_decreases(self):
         run = integrate_radius(0.3)
         assert run.curve.radii[0] == 1.0

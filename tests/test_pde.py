@@ -21,6 +21,8 @@ from spherediss import _bdf, cli
 from spherediss.errors import IntegrationError
 from spherediss.pde import (
     _CELLS_PER_WIDTH,
+    ATOL,
+    RTOL,
     _advance,
     _build_grid,
     _factor,
@@ -28,6 +30,7 @@ from spherediss.pde import (
     _lapack,
     _mapped_system,
     _solute_drift,
+    _start,
     _surface_flux_weights,
 )
 
@@ -37,13 +40,13 @@ class TestConfigValidation:
         "kwargs",
         [
             {"nodes": 50},
-            {"rhat_max": 5.0},
-            {"rhat_max": math.inf},
-            {"rel_tol": 0.0},
-            {"abs_tol": 1.0},
+            {"nodes": 241.0},
             {"min_radius": 0.0},
             {"min_radius": 1.0},
+            {"min_radius": math.nan},
             {"t_end": 1e-7},
+            {"t_end": math.inf},
+            {"t_end": math.nan},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -134,6 +137,18 @@ class TestMeshControls:
     def test_snapshot_outside_span_rejected(self):
         with pytest.raises(DomainError):
             solve_moving_boundary(0.1, 1.0, PdeConfig(t_end=1.0), snapshot_times=[2.0])
+
+    @pytest.mark.parametrize("eps,ratio,t_end", [(0.1, 1.0, 3.0), (-0.1, 2.0, 50.0)])
+    def test_result_does_not_depend_on_the_tolerances(self, eps, ratio, t_end):
+        # the core rerun at 1e-10 moves R(t_end) by about 1e-7 relative; at RTOL = ATOL = 1e-6
+        # the solver would be 1.4e-6 and 1.0e-5 off
+        config = PdeConfig(t_end=t_end)
+        default = solve_moving_boundary(eps, ratio, config).curve
+        assert (default.metadata["rel_tol"], default.metadata["abs_tol"]) == (RTOL, ATOL)
+        grid = _grid(eps, t_end, config)
+        t0, y0 = _start(eps, grid[0])
+        tight = _advance(grid, eps, ratio, t0, y0, t_end, 1e-10, 1e-10, None, ()).curve
+        assert abs(default.radii[-1] / tight.radii[-1] - 1.0) <= 1e-6
 
     def test_min_radius_stop(self):
         result = solve_moving_boundary(1.0, 1.0, PdeConfig(min_radius=0.5))
@@ -617,9 +632,8 @@ class TestScrivenGrowth:
                           + cells[::-1])[::-1]
         exact = tails / tails[0]
         t1 = 1.0 / lam**2
-        config = PdeConfig()
         result = _advance(grid, eps, ratio, t1, np.append((x * exact)[1:-1], 1.0), 30.0 * t1,
-                          config.rel_tol, config.abs_tol, None, ())
+                          RTOL, ATOL, None, ())
         curve = result.curve
         assert curve.metadata["t_init"] == t1 and curve.times[-1] == 30.0 * t1
         radius_error = np.max(np.abs(curve.radii / (lam * np.sqrt(curve.times)) - 1.0))

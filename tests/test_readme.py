@@ -1,17 +1,33 @@
+import dataclasses
 import os
 import re
+
+import pytest
 
 import spherediss as sd
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 
-def test_quick_start_runs():
+def _readme() -> str:
     with open(README, encoding="utf-8") as handle:
-        blocks = re.findall(r"```python\n(.*?)```", handle.read(), flags=re.DOTALL)
+        return handle.read()
+
+
+def test_quick_start_runs():
+    blocks = re.findall(r"```python\n(.*?)```", _readme(), flags=re.DOTALL)
     assert len(blocks) == 1
     namespace = {}
     exec(compile(blocks[0], README, "exec"), namespace)
     seconds, curve, problem = (namespace[k] for k in ("seconds", "curve", "problem"))
     assert isinstance(seconds, sd.DimensionalCurve)
     assert seconds.times_s.tolist() == (curve.times * problem.time_scale).tolist()
+
+
+@pytest.mark.parametrize("config", [sd.IntegratorConfig, sd.PdeConfig])
+def test_settings_table_lists_each_config_field(config):
+    # one row per config class: `name` (default), ... in field order
+    row = re.search(rf"^\| `{config.__name__}` \| (.*) \|$", _readme(), flags=re.MULTILINE)
+    assert row is not None
+    listed = re.findall(r"`(\w+)` \(", row.group(1))
+    assert listed == [field.name for field in dataclasses.fields(config)]
