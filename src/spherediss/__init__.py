@@ -9,7 +9,6 @@ curve generation and table reproduction.
 import importlib
 
 from .approx import (
-    BlendWeight,
     approx_curve,
     approx_radius,
     approx_t0,
@@ -28,7 +27,6 @@ from .errors import (
     ClampedRadiusWarning,
     DomainError,
     EpsilonRangeError,
-    ExtrapolationWarning,
     IntegrationError,
     PastDissolutionError,
 )
@@ -59,7 +57,7 @@ __version__ = "0.1.0"
 
 #: The solver modules' names, imported on first access (PEP 562): not with the package.
 _SOLVER_NAMES = {
-    "IntegratorConfig": "ode", "RadiusIntegration": "ode", "integrate_radius": "ode",
+    "RadiusIntegration": "ode", "integrate_radius": "ode",
     "MappedField": "pde", "MovingBoundaryResult": "pde", "PdeConfig": "pde",
     "solve_moving_boundary": "pde",
 }
@@ -76,15 +74,12 @@ def __dir__():
 
 
 __all__ = [
-    "BlendWeight",
     "ClampedRadiusWarning",
     "DimensionalCurve",
     "DimensionlessProblem",
     "DomainError",
     "EpsilonRangeError",
-    "ExtrapolationWarning",
     "IntegrationError",
-    "IntegratorConfig",
     "MappedField",
     "MethodId",
     "MovingBoundaryResult",

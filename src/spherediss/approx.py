@@ -9,8 +9,7 @@ Every closed form here is an algebraic function of sqrt(t):
     blended:    R = sqrt(alpha * duda^2 + (1-alpha) * intuitive^2)
 
 The blended weight alpha(eps) is a semi-empirical fit valid only for
--0.5 <= eps <= 0.5; outside that range it is refused unless extrapolation
-is explicitly requested.
+-0.5 <= eps <= 0.5; outside that range it is refused.
 
 Each formula is evaluated in one place, ``approx_radius``, for one float or
 an array of times; the per-method wrappers and ``approx_curve`` call it.
@@ -24,8 +23,6 @@ query contract of ``curves``.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import exact
@@ -42,7 +39,7 @@ from .curves import (
     dissolution_time,
     query_times,
 )
-from .errors import DomainError, EpsilonRangeError, ExtrapolationWarning, warn_clamped
+from .errors import DomainError, EpsilonRangeError, warn_clamped
 
 FIT_RANGE = (-0.5, 0.5)
 
@@ -105,19 +102,7 @@ def duda_radius(eps: float, t: float) -> float:
     return _radius(MethodId.DUDA_VRENTAS, eps, t)
 
 
-@dataclass(frozen=True)
-class BlendWeight:
-    """Blending weight with the epsilon interval its fit covers."""
-
-    alpha: float
-    epsilon_domain: tuple[float, float]
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise DomainError("alpha", f"must lie in [0, 1], got {self.alpha!r}")
-
-
-def blend_alpha(eps: float, allow_extrapolation: bool = False) -> BlendWeight:
+def blend_alpha(eps: float) -> float:
     """Semi-empirical blending weight between the two explicit closed forms.
 
     Three fitted branches: a rational form on 0 < eps < 0.1, a quadratic in
@@ -128,28 +113,15 @@ def blend_alpha(eps: float, allow_extrapolation: bool = False) -> BlendWeight:
     if eps == 0:
         raise DomainError("epsilon", "the blended fit is undefined at epsilon = 0")
     if not FIT_RANGE[0] <= eps <= FIT_RANGE[1]:
-        if not allow_extrapolation:
-            raise EpsilonRangeError(
-                f"blended fit covers {FIT_RANGE[0]} <= epsilon <= {FIT_RANGE[1]} (got {eps:g}); "
-                "pass allow_extrapolation=True to override"
-            )
-        warnings.warn(
-            f"extrapolating the blended fit to epsilon={eps:g} outside {FIT_RANGE}",
-            ExtrapolationWarning,
-            stacklevel=2,
+        raise EpsilonRangeError(
+            f"blended fit covers {FIT_RANGE[0]} <= epsilon <= {FIT_RANGE[1]} (got {eps:g})"
         )
     if eps < 0:
-        alpha = 0.5381 * (1.0 - 0.3 / (1.0 + abs(eps) ** (-0.6514)))
-        domain = (-0.5, 0.0)
-    elif eps < 0.1:
-        alpha = 0.781 * (1.0 - 1.935 / (1.0 + 1.05 * eps ** (-0.4278)))
-        domain = (0.0, 0.1)
-    else:
-        lg = math.log10(eps)
-        alpha = 0.0193 * lg * lg - 0.2703 * lg + 0.095
-        domain = (0.1, 0.5)
-    # extrapolated evaluations can leave the fitted weight's range
-    return BlendWeight(min(max(alpha, 0.0), 1.0), domain)
+        return 0.5381 * (1.0 - 0.3 / (1.0 + abs(eps) ** (-0.6514)))
+    if eps < 0.1:
+        return 0.781 * (1.0 - 1.935 / (1.0 + 1.05 * eps ** (-0.4278)))
+    lg = math.log10(eps)
+    return 0.0193 * lg * lg - 0.2703 * lg + 0.095
 
 
 def _blend_radicand(eps, alpha, t, xp=FLOAT_OPS):
@@ -158,14 +130,14 @@ def _blend_radicand(eps, alpha, t, xp=FLOAT_OPS):
 
 
 @lru_cache(maxsize=512)
-def blended_t0(eps: float, allow_extrapolation: bool = False) -> float:
+def blended_t0(eps: float) -> float:
     """First zero of the blended radicand: the formula's dissolution time.
 
     Located by a sign-change scan uniform in sqrt(t) over [0, 1/(2 eps)]
     followed by bisection.
     """
     t_cap = dissolution_time(eps, lambda e: 0.5 / e, "blended")
-    alpha = blend_alpha(eps, allow_extrapolation).alpha
+    alpha = blend_alpha(eps)
     import numpy as np
     roots = np.linspace(0.0, math.sqrt(t_cap), _BLEND_SCAN_POINTS + 1)
     crossed = np.flatnonzero(_blend_radicand(eps, alpha, roots[1:] ** 2, array_ops()) <= 0.0)
@@ -177,14 +149,14 @@ def blended_t0(eps: float, allow_extrapolation: bool = False) -> float:
     return 0.5 * (lo + hi)
 
 
-def blended_radius(eps: float, t: float, allow_extrapolation: bool = False) -> float:
+def blended_radius(eps: float, t: float) -> float:
     """Weighted combination of the two explicit closed forms.
 
     For eps > 0 the radius is clamped to 0 from the first radicand zero
     onwards (the radicand can become positive again later, which has no
     physical meaning past complete dissolution).
     """
-    return _radius(MethodId.BLENDED, eps, t, allow_extrapolation)
+    return _radius(MethodId.BLENDED, eps, t)
 
 
 #: Methods with a closed-form (or root-findable) dissolution time.
@@ -194,7 +166,7 @@ _T0_DISPATCH = {
     MethodId.SMALL_TIME: lambda eps: 0.25 / (eps * eps),
     MethodId.INTUITIVE: lambda eps: 1.0 / (2.0 * eps * (2.0 * eps + 1.0)),
     MethodId.DUDA_VRENTAS: lambda eps: (math.sqrt(1.0 + 0.5 / eps) - 1.0) ** 2,
-    MethodId.BLENDED: lambda eps: blended_t0(eps, False),  # as _radius calls it: one cache key
+    MethodId.BLENDED: blended_t0,
 }
 
 
@@ -209,20 +181,20 @@ def approx_t0(method: MethodId, eps: float) -> float:
     return dissolution_time(eps, formula, method.value)
 
 
-def _radius(method: MethodId, eps: float, t, allow_extrapolation: bool = False):
-    """``approx_radius``, with the blended fit's extrapolation switch: applies the
-    method's epsilon domain, the time checks, its end-time rule and its formula."""
+def _radius(method: MethodId, eps: float, t):
+    """``approx_radius``: applies the method's epsilon domain, the time checks,
+    its end-time rule and its formula."""
     formula, blended = _FORMULAS.get(method), method is MethodId.BLENDED
     if blended:
         # the fit is undefined at eps = 0, where every weight gives R = 1
-        alpha = blend_alpha(eps, allow_extrapolation).alpha if eps != 0 else 0.0
+        alpha = blend_alpha(eps) if eps != 0 else 0.0
     elif formula is None:
         raise DomainError("method", f"{method.value!r} is not an explicit approximation")
     else:
         check_epsilon(eps)
     xp, t, _, last = query_times(t)
     if blended:
-        past = eps > 0 and t >= blended_t0(eps, allow_extrapolation)
+        past = eps > 0 and t >= blended_t0(eps)
         if xp is FLOAT_OPS and past:
             warn_clamped("blended", t)
         return xp.where(past, 0.0, xp.sqrt(xp.maximum(_blend_radicand(eps, alpha, t, xp), 0.0)))

@@ -6,10 +6,10 @@ Output is CSV (default) or JSON, to stdout or a file.  Display columns carry
 6 significant digits; ``--raw`` switches to full float precision.  ``pde``
 prints its JSON summary on stdout; its ``--output`` curve follows
 ``--format``/``--raw`` like every other command, and its snapshot files are
-always full-precision CSV.  The ODE oracle runs at ``IntegratorConfig``'s
-defaults and the moving-boundary solver at ``PdeConfig``'s, apart from what
-``pde``'s flags set.  Exit codes: 0 success, 2 argument error, 3 domain
-error (a value outside some formula's validity range), with a one-line
+always full-precision CSV.  The ODE oracle runs at the constants of
+``ode`` and the moving-boundary solver at ``PdeConfig``'s defaults, apart
+from what ``pde``'s flags set.  Exit codes: 0 success, 2 argument error,
+3 domain error (a value outside some formula's validity range), with a one-line
 ``argument: message`` diagnostic on stderr; an ``--output`` or
 ``--snapshot-prefix`` path that cannot be written is an argument error, and
 a solver that cannot finish its run is exit 3 with a one-line

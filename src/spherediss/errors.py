@@ -57,10 +57,6 @@ class ClampedRadiusWarning(UserWarning):
     """A formula produced a negative radicand and the radius was clamped to 0."""
 
 
-class ExtrapolationWarning(UserWarning):
-    """A semi-empirical fit is being evaluated outside its fitted range."""
-
-
 def warn_clamped(method: str, t: float) -> None:
     # attributed to the caller of the public function that evaluated the formula
     warnings.warn(

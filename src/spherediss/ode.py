@@ -11,9 +11,10 @@ where R(t) itself ends in a square-root cusp.  Stepping uses the vendored
 scalar DOP853 of ``_dop853`` (the Dormand-Prince 8(5,3) pair of Hairer,
 Norsett & Wanner, "Solving ODEs I", sec. II.5) with scipy's step-size rules
 and 7th-order dense output, on plain floats, so the oracle never imports
-scipy.  For eps > 0 the run stops once the radius falls to the configured
-floor and the dissolution time is extrapolated: R dR/dtau = -2 eps (tau + R)
+scipy.  For eps > 0 the run stops once the radius falls to ``MIN_RADIUS``
+and the dissolution time is extrapolated: R dR/dtau = -2 eps (tau + R)
 is solved from the floor to 0 with tau held at tau_stop, so t0 = (tau_stop + dtau)^2.
+The tolerances and the floor are module constants, read at call time.
 
 The run's ``RadiusCurve`` is its one record; ``RadiusIntegration`` adds the
 steps' interpolants and reads everything else from it.
@@ -24,7 +25,6 @@ from __future__ import annotations
 import bisect
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,31 +36,20 @@ from .errors import DomainError, IntegrationError
 #: answers with the run's last radius.
 _SQRT_ROUNDING = 1.0 + 1e-12
 
+#: Relative and absolute tolerances of every step's error test, on y = R^2.
+RTOL = ATOL = 1e-10
+
+#: Radius at which a dissolution run stops and extrapolates its t0.
+MIN_RADIUS = 1e-8
+
 #: Most accepted steps one run may take before it fails with ``IntegrationError``.
 MAX_STEPS = 100_000
 
-#: Largest scaled rate 4 |eps| / (abs_tol + rel_tol) a run accepts.  The step's
+#: Largest scaled rate 4 |eps| / (ATOL + RTOL) a run accepts.  The step's
 #: error test squares errors of that order, and beyond the square root of the
 #: largest float the square overflows: the step control then rejects steps on
 #: non-finite norms, and at the default tolerances runs from eps = 1e149 on fail.
 _MAX_SCALED_RATE = math.sqrt(sys.float_info.max)
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Tolerances and the radius floor of the oracle integrator."""
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-10
-    min_radius: float = 1e-8
-
-    def __post_init__(self):
-        if not 0.0 < self.rel_tol <= 1e-3:
-            raise DomainError("rel_tol", f"must lie in (0, 1e-3], got {self.rel_tol!r}")
-        if not 0.0 < self.abs_tol <= 1e-3:
-            raise DomainError("abs_tol", f"must lie in (0, 1e-3], got {self.abs_tol!r}")
-        if not 0.0 < self.min_radius <= 1e-4:
-            raise DomainError("min_radius", f"must lie in (0, 1e-4], got {self.min_radius!r}")
 
 
 class RadiusIntegration:
@@ -124,11 +113,7 @@ class _SquaredRadiusRate:
         return self.scale * (tau + math.sqrt(max(y, 0.0)))
 
 
-def integrate_radius(
-    eps: float,
-    t_end: float | None = None,
-    config: IntegratorConfig | None = None,
-) -> RadiusIntegration:
+def integrate_radius(eps: float, t_end: float | None = None) -> RadiusIntegration:
     """Integrate the radius history numerically, independent of the closed forms.
 
     For eps > 0 the run stops at the radius floor (or at ``t_end`` if that
@@ -136,12 +121,10 @@ def integrate_radius(
     For eps <= 0 a ``t_end`` is required since nothing ever stops the run.
     """
     check_end(eps, t_end, "t_end")
-    if config is None:
-        config = IntegratorConfig()
-    rtol, atol = config.rel_tol, config.abs_tol
+    rtol, atol, min_radius = RTOL, ATOL, MIN_RADIUS
     if 4.0 * abs(eps) / (atol + rtol) > _MAX_SCALED_RATE:
-        raise DomainError("epsilon", f"{eps!r} is too large for the oracle: 4|epsilon|/"
-                                     f"(abs_tol + rel_tol) exceeds {_MAX_SCALED_RATE:.3g}")
+        raise DomainError("epsilon", f"{eps!r} is too large for the oracle: |epsilon| "
+                                     f"exceeds {_MAX_SCALED_RATE * (atol + rtol) / 4.0:.2e}")
 
     if eps > 0:
         # complete dissolution always happens before the steady-flux bound 1/(2 eps)
@@ -151,7 +134,7 @@ def integrate_radius(
         tau_bound = math.sqrt(t_end)
 
     rate = _SquaredRadiusRate(eps)
-    floor_sq = config.min_radius**2
+    floor_sq = min_radius**2
     tau, y = 0.0, 1.0
     f = rate(tau, y)
     h_abs = _dop853.initial_step(rate, y, f, tau_bound, rtol, atol)
@@ -186,7 +169,7 @@ def integrate_radius(
             ys[-1] = floor_sq
             # from the floor to 0 with tau held: 2 eps dtau = tau_stop (x - log1p x), x = R/tau,
             # and x - log1p(x) = x^2/2 - x^3/3 + ... summed where the difference would cancel
-            x = config.min_radius / tau_stop
+            x = min_radius / tau_stop
             gap = sum((-x) ** k / k for k in range(2, 20)) if x < 0.1 else x - math.log1p(x)
             dtau = tau_stop * gap / (2.0 * eps)
             t_dissolved = tau_stop**2 + dtau * (2.0 * tau_stop + dtau)
@@ -199,9 +182,9 @@ def integrate_radius(
         np.asarray(taus) ** 2,
         np.sqrt(np.maximum(np.asarray(ys), 0.0)),
         metadata={
-            "rel_tol": config.rel_tol,
-            "abs_tol": config.abs_tol,
-            "min_radius": config.min_radius,
+            "rel_tol": rtol,
+            "abs_tol": atol,
+            "min_radius": min_radius,
             "dissolution_time": t_dissolved,
             "steps": len(rows),
             "rejected": rejected,

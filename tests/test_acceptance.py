@@ -197,7 +197,7 @@ def test_criterion_6_blended_accuracy(capsys):
             assert worst <= bound, f"blended deviation {worst:.4f} at eps={eps}"
 
     below = 0.781 * (1.0 - 1.935 / (1.0 + 1.05 * 0.1 ** (-0.4278)))
-    continuity = abs(blend_alpha(0.1).alpha - below)
+    continuity = abs(blend_alpha(0.1) - below)
     assert continuity <= 5e-4
     with capsys.disabled():
         detail = ", ".join(f"{eps:+g}: {measured[eps]:.4f}" for eps in thresholds)

@@ -8,7 +8,6 @@ from spherediss import (
     ClampedRadiusWarning,
     DomainError,
     EpsilonRangeError,
-    ExtrapolationWarning,
     MethodId,
     PastDissolutionError,
     approx_curve,
@@ -100,23 +99,20 @@ class TestDuda:
 
 class TestBlendWeight:
     def test_small_epsilon_value(self):
-        assert blend_alpha(0.01).alpha == pytest.approx(0.6038, abs=5e-4)
+        assert blend_alpha(0.01) == pytest.approx(0.6038, abs=5e-4)
 
     def test_branch_continuity_at_tenth(self):
         below = 0.781 * (1.0 - 1.935 / (1.0 + 1.05 * 0.1 ** (-0.4278)))
-        assert abs(blend_alpha(0.1).alpha - below) <= 5e-4
+        assert abs(blend_alpha(0.1) - below) <= 5e-4
 
     def test_upper_boundary_is_quadratic_branch(self):
         lg = math.log10(0.5)
         expected = 0.0193 * lg * lg - 0.2703 * lg + 0.095
-        assert blend_alpha(0.5).alpha == pytest.approx(expected, rel=1e-14)
+        assert blend_alpha(0.5) == pytest.approx(expected, rel=1e-14)
 
     def test_weight_stays_in_unit_interval(self):
         for eps in np.concatenate([np.geomspace(1e-6, 0.5, 40), -np.geomspace(1e-6, 0.5, 40)]):
-            weight = blend_alpha(float(eps))
-            assert 0.0 <= weight.alpha <= 1.0
-            lo, hi = weight.epsilon_domain
-            assert lo <= 0.5 and hi >= -0.5
+            assert 0.0 <= blend_alpha(float(eps)) <= 1.0
 
     def test_fit_range_enforced(self):
         with pytest.raises(EpsilonRangeError):
@@ -125,11 +121,6 @@ class TestBlendWeight:
             blend_alpha(-0.6)
         with pytest.raises(DomainError):
             blend_alpha(0.0)
-
-    def test_extrapolation_override_warns(self):
-        with pytest.warns(ExtrapolationWarning):
-            weight = blend_alpha(0.7, allow_extrapolation=True)
-        assert 0.0 <= weight.alpha <= 1.0
 
 
 class TestBlendedRadius:

@@ -13,12 +13,11 @@ import pytest
 
 from spherediss import (
     DomainError,
-    IntegratorConfig,
     PdeConfig,
     integrate_radius,
     solve_moving_boundary,
 )
-from spherediss import _bdf, _dop853, approx, pde
+from spherediss import _bdf, _dop853, approx, ode, pde
 from spherediss.curves import array_ops, bisect, dissolution_time
 
 
@@ -89,7 +88,7 @@ def _seed_solve_stretch_ratio(span, cells, h0):
 
 def _seed_blended_t0(eps):
     t_cap = dissolution_time(eps, lambda e: 0.5 / e, "blended")
-    alpha = approx.blend_alpha(eps).alpha
+    alpha = approx.blend_alpha(eps)
     roots = np.linspace(0.0, math.sqrt(t_cap), approx._BLEND_SCAN_POINTS + 1)
     radicand = approx._blend_radicand(eps, alpha, roots[1:] ** 2, array_ops())
     crossed = np.flatnonzero(radicand <= 0.0)
@@ -168,7 +167,8 @@ class TestSearchesMatchTheirOwnLoops:
             return crossing(*args)
 
         monkeypatch.setattr(_dop853, "crossing", recording)
-        run = integrate_radius(eps, config=IntegratorConfig(min_radius=min_radius))
+        monkeypatch.setattr(ode, "MIN_RADIUS", min_radius)
+        run = integrate_radius(eps)
         (row, lo, hi, level), = calls  # the floor row of a real run
         tau_stop = _seed_crossing(row, lo, hi, level)
         assert np.float64(run.curve.times[-1]).tobytes() == np.float64(tau_stop**2).tobytes()

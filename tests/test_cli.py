@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import spherediss
+from spherediss import ode
 from spherediss.cli import main, t0_table
 
 
@@ -737,4 +738,4 @@ class TestGoldenOutput:
         _, rows = parse_csv(out)
         t_last, r_last = (float(v) for v in rows[-1])
         assert t_last == pytest.approx(spherediss.time_to_dissolution(eps), rel=1e-8)
-        assert r_last == spherediss.IntegratorConfig().min_radius
+        assert r_last == ode.MIN_RADIUS

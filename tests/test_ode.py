@@ -7,33 +7,11 @@ import pytest
 from spherediss import (
     DomainError,
     IntegrationError,
-    IntegratorConfig,
     integrate_radius,
     radius_at,
     time_to_dissolution,
 )
 from spherediss import ode
-
-
-class TestConfigValidation:
-    def test_defaults_are_valid(self):
-        config = IntegratorConfig()
-        assert config.rel_tol == 1e-10
-        assert config.min_radius == 1e-8
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"rel_tol": 0.0},
-            {"rel_tol": 1e-2},
-            {"abs_tol": -1e-9},
-            {"min_radius": 1e-3},
-            {"min_radius": 0.0},
-        ],
-    )
-    def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(DomainError):
-            IntegratorConfig(**kwargs)
 
 
 class TestDissolution:
@@ -47,6 +25,16 @@ class TestDissolution:
             assert run.dissolution_time == pytest.approx(
                 time_to_dissolution(eps), rel=1e-6
             )
+
+    @pytest.mark.parametrize("eps, rel", [
+        *[(eps, 1e-8) for eps in (1e-8, 1e-4, 1e-3, 0.01, 0.1, 0.5, 1.0, 1.9, 2.0, 2.1, 5.0, 100.0)],
+        # README's bound: ATOL on y = R^2 lets R err by ~1e-5 near the floor R = 1e-8
+        *[(eps, 1.3e-4) for eps in (1e3, 1e4, 1e6, 1e10, 1e14, 1e50, 1e140, 6e143)],
+    ])
+    def test_dissolution_time_relative_error(self, eps, rel):
+        # relative only: t0 falls to 2.5e-9 at eps = 1e4, below any useful absolute tolerance
+        run = integrate_radius(eps)
+        assert run.dissolution_time == pytest.approx(time_to_dissolution(eps), rel=rel, abs=0)
 
     @pytest.mark.parametrize("eps", [1e4, 1e10, 1e14, 1e16, 1e50, 1e140])
     def test_extrapolation_adds_no_error_at_large_eps(self, eps):
@@ -76,7 +64,7 @@ class TestDissolution:
     def test_span_end_is_the_floor_radius(self, eps):
         # the interpolant's rounding at y = R^2 ~ 1e-16 does not leak into R(t_end)
         run = integrate_radius(eps)
-        assert run.radius_at(run.t_end) == run.curve.radii[-1] == IntegratorConfig().min_radius
+        assert run.radius_at(run.t_end) == run.curve.radii[-1] == ode.MIN_RADIUS
         assert run.radius_at(np.array([run.t_end]))[0] == run.curve.radii[-1]
 
 
@@ -109,12 +97,14 @@ class TestSlopeAtOrigin:
 
 class TestSelfConvergence:
     @pytest.mark.parametrize("eps", [0.1, -0.1])
-    def test_halving_tolerances(self, eps):
-        coarse = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-6)
-        fine = IntegratorConfig(rel_tol=5e-7, abs_tol=5e-7)
+    def test_halving_tolerances(self, monkeypatch, eps):
         t_end = 2.0 if eps > 0 else 50.0
-        run_a = integrate_radius(eps, t_end=t_end, config=coarse)
-        run_b = integrate_radius(eps, t_end=t_end, config=fine)
+        runs = []
+        for tol in (1e-6, 5e-7):
+            monkeypatch.setattr(ode, "RTOL", tol)
+            monkeypatch.setattr(ode, "ATOL", tol)
+            runs.append(integrate_radius(eps, t_end=t_end))
+        run_a, run_b = runs
         grid = np.linspace(0.0, t_end * 0.999, 101)
         worst = max(abs(run_a.radius_at(t) - run_b.radius_at(t)) for t in grid)
         assert worst < 1e-6
@@ -142,13 +132,14 @@ class TestErrorPaths:
         with pytest.raises(DomainError, match="^epsilon: .* too large for the oracle"):
             integrate_radius(eps, t_end=t_end)
 
-    def test_largest_epsilon_follows_the_tolerances(self):
+    def test_largest_epsilon_follows_the_tolerances(self, monkeypatch):
         bound = math.sqrt(sys.float_info.max) * 2e-10 / 4.0  # default tolerances: 6.7e143
         assert integrate_radius(0.99 * bound).dissolution_time is not None
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="exceeds 6.70e[+]143$"):
             integrate_radius(1.01 * bound)
-        loose = IntegratorConfig(rel_tol=1e-3, abs_tol=1e-3)
-        assert integrate_radius(1e149, config=loose).dissolution_time is not None
+        monkeypatch.setattr(ode, "RTOL", 1e-3)
+        monkeypatch.setattr(ode, "ATOL", 1e-3)
+        assert integrate_radius(1e149).dissolution_time is not None
 
     def test_query_outside_span(self):
         run = integrate_radius(0.1, t_end=1.0)
@@ -165,9 +156,10 @@ class TestErrorPaths:
 
 
 class TestCurveMetadata:
-    def test_metadata_records_tolerances(self):
-        config = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-9)
-        run = integrate_radius(0.2, config=config)
+    def test_metadata_records_tolerances(self, monkeypatch):
+        monkeypatch.setattr(ode, "RTOL", 1e-8)
+        monkeypatch.setattr(ode, "ATOL", 1e-9)
+        run = integrate_radius(0.2)
         assert run.curve.metadata["rel_tol"] == 1e-8
         assert run.curve.metadata["abs_tol"] == 1e-9
         assert run.curve.metadata["dissolution_time"] == run.dissolution_time
@@ -231,16 +223,15 @@ def scipy_reference(eps, t_end):
     from scipy.integrate import DOP853, OdeSolution
     from scipy.optimize import brentq
 
-    config = IntegratorConfig()
     if eps > 0:
         tau_bound = math.sqrt(0.5 / eps) * (1.0 + 1e-9)
     else:
         tau_bound = math.sqrt(t_end)
     solver = DOP853(
         lambda tau, y: [-4.0 * eps * (tau + math.sqrt(max(y[0], 0.0)))],
-        0.0, np.array([1.0]), t_bound=tau_bound, rtol=config.rel_tol, atol=config.abs_tol,
+        0.0, np.array([1.0]), t_bound=tau_bound, rtol=ode.RTOL, atol=ode.ATOL,
     )
-    floor_sq = config.min_radius**2
+    floor_sq = ode.MIN_RADIUS**2
     taus, segments, dissolution_time = [0.0], [], None
     while solver.status == "running":
         solver.step()

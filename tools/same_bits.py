@@ -1,4 +1,4 @@
-"""Print two sha256 digests that pin a source tree's results bit for bit.
+"""Print three sha256 digests that pin a source tree's results bit for bit.
 
     python3 tools/same_bits.py [TREE]
 
@@ -17,6 +17,12 @@ bytecode is written, so the tree is left as it was.
   the benchmark's ``cli`` inputs for seeds 0-19, each run in-process by
   ``spherediss.cli.main`` inside a fresh temporary directory, with
   ``{tmp}`` in an argv standing for that directory.
+* ``lib``: the ODE oracle and the blended fit at full precision.  Per
+  ``integrate_radius`` run at the oracle test's reference epsilons (to
+  t = 50 for growth), the curve's times, radii and metadata and
+  ``radius_at`` on 257 points spanning the run; per blended epsilon,
+  ``blended_t0`` (for dissolution) and ``approx_curve``'s times and radii
+  (to t = 50 for growth).
 """
 
 from __future__ import annotations
@@ -50,6 +56,32 @@ def pde_digest(workloads) -> str:
                 sha.update(chunk)
             for key in ("nfev", "njev", "nlu", "steps", "solute_drift"):
                 sha.update(repr(meta[key]).encode())
+    return sha.hexdigest()
+
+
+ODE_EPSILONS = [1e-4, 1e-3, 0.1, 1.0, 2.0, 5.0, 100.0, 1e4, -1e-3, -0.1, -1.0, -10.0]
+BLENDED_EPSILONS = [sign * eps for eps in (1e-3, 0.05, 0.1, 0.3, 0.5) for sign in (1.0, -1.0)]
+GROWTH_END = 50.0
+
+
+def lib_digest() -> str:
+    import numpy as np
+    import spherediss as sd
+
+    sha = hashlib.sha256()
+    for eps in ODE_EPSILONS:
+        run = sd.integrate_radius(eps, t_end=None if eps > 0 else GROWTH_END)
+        curve = run.curve
+        for chunk in (curve.times.tobytes(), curve.radii.tobytes(),
+                      repr(sorted(curve.metadata.items())).encode(),
+                      run.radius_at(np.linspace(0.0, run.t_end, 257)).tobytes()):
+            sha.update(chunk)
+    for eps in BLENDED_EPSILONS:
+        if eps > 0:
+            sha.update(repr(sd.blended_t0(eps)).encode())
+        curve = sd.approx_curve(sd.MethodId.BLENDED, eps, t_max=None if eps > 0 else GROWTH_END)
+        sha.update(curve.times.tobytes())
+        sha.update(curve.radii.tobytes())
     return sha.hexdigest()
 
 
@@ -124,6 +156,7 @@ def main(argv: list[str]) -> int:
     print(f"pde  {pde_digest(workloads)}")
     digest, count = cli_digest(tree, workloads)
     print(f"cli  {digest}  ({count} commands)")
+    print(f"lib  {lib_digest()}")
     return 0
 
 
