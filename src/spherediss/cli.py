@@ -199,14 +199,13 @@ def _cmd_compare(args) -> None:
         elif method is MethodId.ODE_ORACLE:
             from . import ode
             run = ode.integrate_radius(eps, t_end=None if eps > 0 else float(times[-1]))
-            # the run's own t0 may fall short of the exact one the grid ends at: R = 0 there
-            dissolved = run.dissolution_time
-            values = run.radius_at(times if dissolved is None else np.minimum(times, dissolved))
+            values = run.radius_at(times)
         elif method is MethodId.PDE_REFERENCE:
             result = _pde_run(eps, args.rho_ratio, t_end=float(times[-1]) * 1.0000001,
                               min_radius=0.02)
             pde_t, pde_r = result.curve.times, result.curve.radii
-            values = np.where(times <= pde_t[-1], np.interp(times, pde_t, pde_r), np.nan)
+            inside = (pde_t[0] <= times) & (times <= pde_t[-1])
+            values = np.where(inside, np.interp(times, pde_t, pde_r), np.nan)
         else:
             values = approx.approx_radius(method, eps, times)
         columns[method.value] = values

@@ -77,10 +77,10 @@ class RadiusIntegration:
     def radius_at(self, t):
         """Radius at ``t``, a float or an array of times (which returns an array).
 
-        Past the integrated span only a dissolved run answers, with R = 0 up
-        to its dissolution time; other times raise ``DomainError``.  At the
-        span's end the radius is the run's last one (``min_radius`` after a
-        stop at the floor), not the interpolant's rounding there.
+        Past the integrated span a dissolved run answers R = 0, as the short-time
+        and blended formulas do past their t0; one stopped at ``t_end`` raises ``DomainError``.
+        At the span's end the radius is the run's last one (``min_radius`` after
+        a stop at the floor), not the interpolant's rounding there.
         """
         xp, t, _, _ = query_times(t)
         if xp is FLOAT_OPS:
@@ -92,8 +92,7 @@ class RadiusIntegration:
         if tau < taus[-1]:
             row = self._rows[max(bisect.bisect_left(taus, tau) - 1, 0)]
             return math.sqrt(max(_dop853._interpolate(tau, *row), 0.0))
-        t_dissolved = self.dissolution_time
-        if t_dissolved is not None and self.t_end < t <= t_dissolved * (1.0 + 1e-9):
+        if self.dissolution_time is not None and self.t_end < t:
             return 0.0
         if tau <= taus[-1] * _SQRT_ROUNDING:
             return float(self.curve.radii[-1])  # at the span's end, or past it by sqrt round-off

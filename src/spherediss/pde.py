@@ -146,20 +146,19 @@ def _solve_stretch_ratio(span: float, cells: int, h0: float) -> float:
     """Cell growth ratio q with h0 (q^cells - 1)/(q - 1) = span."""
     if h0 * cells >= span:
         return 1.0  # uniform grid already resolves the surface
-    lo, hi = 1.0 + 1e-12, 4.0
 
     def total(q: float) -> float:
         if cells * math.log(q) > 500.0:
             return math.inf
         return h0 * (q**cells - 1.0) / (q - 1.0)
 
-    if not total(hi) > span:
-        raise DomainError(
-            "nodes",
-            f"{cells + 1} nodes cannot span [1, {1 + span:.3g}] while resolving the "
-            f"startup profile (first cell {h0:.3g}); increase nodes",
-        )
-    lo, hi = bisect(lambda q: total(q) < span, lo, hi)
+    # q is at most 4, and q^cells at most exp(300), which the grid's powers must not pass
+    steepest = min(4.0, math.exp(300.0 / cells))
+    if not total(steepest) > span:
+        raise DomainError("nodes", f"{cells + 1} nodes cannot span [1, {1 + span:.3g}] with a "
+                                   f"first cell of {h0:.3g} and a stretching ratio up to "
+                                   f"{steepest:.6g}; shorten the run or increase nodes")
+    lo, hi = bisect(lambda q: total(q) < span, 1.0 + 1e-12, 4.0)
     return 0.5 * (lo + hi)
 
 
@@ -169,9 +168,6 @@ def _build_grid(rhat_max: float, nodes: int, h0: float) -> tuple[np.ndarray, flo
     ratio = _solve_stretch_ratio(span, cells, h0)
     if ratio == 1.0:
         return np.linspace(1.0, rhat_max, nodes), ratio
-    if cells * math.log(ratio) > 300.0:
-        raise DomainError("nodes", f"{nodes} nodes need a stretching ratio of {ratio:.6g} to "
-                                   f"span [1, {rhat_max:.3g}]; shorten the run or increase nodes")
     h0 = span * (ratio - 1.0) / (ratio**cells - 1.0)
     steps = h0 * ratio ** np.arange(cells)
     x = np.concatenate(([1.0], 1.0 + np.cumsum(steps)))
@@ -329,6 +325,12 @@ def _solute_drift(x: np.ndarray, y: np.ndarray, eps: float, beta: float) -> floa
 
 def _grid(eps: float, t_stop: float, config: PdeConfig) -> tuple[np.ndarray, float, float]:
     """The grid x of a run to ``t_stop``, its ``rhat_max`` and its stretch ratio."""
+    # the run starts from the short-time radius at T_INIT, which must lie above the floor
+    r_init = 1.0 - 2.0 * eps * math.sqrt(T_INIT)
+    if r_init <= config.min_radius:
+        bound = (1.0 - config.min_radius) / (2.0 * math.sqrt(T_INIT))
+        raise DomainError("epsilon", f"must stay below {bound:.6g} for the run to start above "
+                                     f"min_radius={config.min_radius!r}, got {eps!r}")
     # the far field stays below 1e-6 through t_stop: the mapped width is the physical
     # diffusion length over the smallest radius reached, for dissolution estimated with
     # the fastest-dissolving closed form and floored at the stopping radius
@@ -338,7 +340,7 @@ def _grid(eps: float, t_stop: float, config: PdeConfig) -> tuple[np.ndarray, flo
         r_final = max(config.min_radius, math.sqrt(max(reach, 0.0)))
     rhat_max = max(10.0, 1.0 + _FAR_FIELD_ARG * math.sqrt(4.0 * t_stop / math.pi) / r_final)
     # the first cell resolves the short-time profile at T_INIT, whatever time a run starts at
-    startup_width = math.sqrt(4.0 * T_INIT / math.pi) / (1.0 - 2.0 * eps * math.sqrt(T_INIT))
+    startup_width = math.sqrt(4.0 * T_INIT / math.pi) / r_init
     x, ratio = _build_grid(rhat_max, config.nodes, startup_width / _CELLS_PER_WIDTH)
     return x, rhat_max, ratio
 

@@ -288,6 +288,23 @@ class TestCompare:
         else:
             pytest.fail("missing pde summary line")
 
+    def test_pde_column_is_nan_outside_the_run(self, capsys):
+        # the run starts at t_init = 1e-6: no value before it, as none after its end
+        code, out, err = run_cli(capsys, "compare", "--epsilon", "0.1", "--methods", "exact,pde",
+                                 "--t-max", "4e-6", "--samples", "8", "--raw")
+        assert code == 0, err
+        _, rows = parse_csv(out)
+        before = [row for row in rows if float(row[0]) < 1e-6]
+        assert len(before) == 3 and all(row[2] == "nan" for row in before)
+        assert all(math.isfinite(float(row[2])) for row in rows[3:])
+        assert split_summary(out)[1]["max_abs_dev_pde"] == pytest.approx(2.06e-5, rel=1e-2)
+
+    def test_pde_column_starting_below_its_floor_is_exit_3(self, capsys):
+        # the column's floor is 0.02, so the run must start below epsilon = 490
+        code, out, err = run_cli(capsys, "compare", "--epsilon", "495", "--methods", "exact,pde")
+        assert code == 3 and out == ""
+        assert err.startswith("epsilon: must stay below 490 ") and err.count("\n") == 1
+
 
 class TestGridArguments:
     """Every sampled path refuses a grid it cannot build, with exit code 3."""
@@ -405,6 +422,20 @@ class TestPdeCommand:
         assert code == 3
         assert out == ""
         assert err.startswith(f"{param}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("eps", ["480", "500"])
+    def test_start_at_or_below_the_floor_is_a_one_line_epsilon_error(self, capsys, eps):
+        code, out, err = run_cli(capsys, "pde", "--epsilon", eps, "--rho-ratio", "1")
+        assert code == 3 and out == ""
+        assert err.startswith("epsilon: must stay below 475 ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("nodes", ["100", "241"])
+    def test_grid_reach_is_one_refusal_at_any_nodes(self, capsys, nodes):
+        code, out, err = run_cli(capsys, "pde", "--epsilon", "-0.1", "--rho-ratio", "1",
+                                 "--t-end", "1e260", "--nodes", nodes)
+        assert code == 3 and out == "" and err.count("\n") == 1
+        assert err.startswith(f"nodes: {nodes} nodes cannot span [1, 3.9e+130] with a first cell")
+        assert err.endswith("; shorten the run or increase nodes\n")
 
     def test_removed_domain_flag_is_an_argument_error(self, capsys):
         # the solver sizes the domain from the horizon; there is no --rhat-max

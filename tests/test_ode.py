@@ -148,6 +148,17 @@ class TestErrorPaths:
         with pytest.raises(DomainError):
             run.radius_at(-1.0)
 
+    @pytest.mark.parametrize("eps", [0.007937005259840998, 0.1639, 0.5])
+    def test_dissolved_run_is_zero_at_and_after_the_exact_t0(self, eps):
+        # the extrapolated t0 falls a few 1e-9 short of the exact one here
+        run = integrate_radius(eps)
+        t0 = time_to_dissolution(eps)
+        assert run.dissolution_time < t0
+        for t in (t0, 10.0 * t0):
+            radius = run.radius_at(t)
+            assert type(radius) is float and radius == 0.0
+        assert run.radius_at(np.array([t0, 10.0 * t0])).tolist() == [0.0, 0.0]
+
     def test_rejects_bad_t_end(self):
         with pytest.raises(DomainError):
             integrate_radius(0.1, t_end=-1.0)

@@ -1,6 +1,7 @@
 import functools
 import importlib.machinery
 import importlib.util
+import inspect
 import math
 import sys
 import warnings
@@ -17,7 +18,7 @@ from spherediss import (
     solve_moving_boundary,
     time_to_dissolution,
 )
-from spherediss import _bdf, cli
+from spherediss import _bdf, cli, pde
 from spherediss.errors import IntegrationError
 from spherediss.pde import (
     _CELLS_PER_WIDTH,
@@ -60,6 +61,27 @@ class TestConfigValidation:
             solve_moving_boundary(-0.1, 1.0)  # t_end required
         with pytest.raises(DomainError):
             solve_moving_boundary(math.nan, 1.0)
+
+    @pytest.mark.parametrize("eps", [475.0, 476.0, 499.0, 500.0, 501.0, 1e6])
+    def test_start_at_or_below_the_floor_is_refused_before_any_grid(self, monkeypatch, eps):
+        # the run starts at R = 1 - 2 eps sqrt(T_INIT), at or below min_radius 0.05 from 475 on
+        def no_grid(*args):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(pde, "_build_grid", no_grid)
+        with pytest.raises(DomainError, match="must stay below 475 ") as refusal:
+            solve_moving_boundary(eps, 1.0)
+        assert refusal.value.param == "epsilon"
+
+    def test_largest_start_above_the_floor_stops_on_it(self):
+        result = solve_moving_boundary(470.0, 1.0)
+        assert result.stopped_on == "min_radius" and result.curve.metadata["steps"] == 329
+
+    def test_start_bound_follows_min_radius(self):
+        config = PdeConfig(min_radius=0.5, t_end=1e-5)
+        with pytest.raises(DomainError, match="must stay below 250 "):
+            solve_moving_boundary(251.0, 1.0, config)
+        assert solve_moving_boundary(249.0, 1.0, config).curve.radii[0] > 0.5
 
 
 class TestStaticLimit:
@@ -124,6 +146,20 @@ class TestMeshControls:
         assert 1.0 <= ratio <= 4.0
         assert x[0] == 1.0 and x[-1] == rhat_max
         assert x[1] - x[0] <= h0 * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("cells", [99, 240, 2000])
+    def test_one_reach_check_before_the_bisection(self, monkeypatch, cells):
+        # the steepest ratio is 4, or exp(300 / cells) where that is less; a span just
+        # inside its reach is stretched, one just past it is refused without a bisection
+        h0 = 1e-4
+        steepest = min(4.0, math.exp(300.0 / cells))
+        reach = h0 * (steepest**cells - 1.0) / (steepest - 1.0)
+        ratio = pde._solve_stretch_ratio(reach * (1.0 - 1e-9), cells, h0)
+        assert 1.0 < ratio <= steepest
+        monkeypatch.setattr(pde, "bisect", None)
+        with pytest.raises(DomainError, match="shorten the run or increase nodes") as refusal:
+            pde._solve_stretch_ratio(reach * (1.0 + 1e-9), cells, h0)
+        assert refusal.value.param == "nodes"
 
     def test_grid_self_convergence(self):
         eps = 0.01
@@ -579,6 +615,40 @@ class TestBdfStepper:
                 lambda t, state: rate, 1e-3, y, c, np.zeros(y.size), solve, np.ones(y.size), 1e-3)
         assert not converged and iterations == 1
         assert y_new.tobytes() == y.tobytes() and not d.any()
+
+    def test_rejected_steps_match_scipy_bdf(self):
+        # y' = -1000 (y - cos t): some steps whose Newton iteration converges fail the
+        # error test, and the run must still accept scipy's step times bit for bit
+        from scipy.integrate import solve_ivp
+
+        def factor(jacobian, c):
+            return lambda b: b / (1.0 - c * jacobian)
+
+        def fun(t, y):
+            return -1000.0 * (y - math.cos(t))
+
+        source, first = inspect.getsourcelines(_bdf.integrate)
+        rejection = first + next(i for i, line in enumerate(source) if "MIN_FACTOR" in line)
+        lines = []
+
+        def trace(frame, event, arg):
+            if frame.f_code is not _bdf.integrate.__code__:
+                return None
+            if event == "line":
+                lines.append(frame.f_lineno)
+            return trace
+
+        previous = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            run = _bdf.integrate(fun, lambda t, y: -1000.0, factor, 0.0, np.zeros(1), 2.0,
+                                 1e-6, 1e-6)
+        finally:
+            sys.settrace(previous)
+        reference = solve_ivp(fun, (0.0, 2.0), [0.0], method="BDF", rtol=1e-6, atol=1e-6,
+                              jac=lambda t, y: np.array([[-1000.0]]))
+        assert lines.count(rejection) == 3 and run.steps == 105
+        assert run.ts.tobytes() == reference.t.tobytes()
 
     def test_overflowing_initial_rate_raises(self):
         # f0 / scale overflows, so the initial-step rule has no positive finite h0

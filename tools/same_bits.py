@@ -5,9 +5,7 @@
 TREE is the root of a checkout of this repository (default: the one this
 file belongs to); its ``src/`` and ``bench/`` are imported, so running the
 tool on two trees and comparing the digests checks that a change keeps the
-bits.  ``SPHEREDISS_*`` variables are removed from the environment first,
-so an older tree that still reads them runs at its defaults too, and no
-bytecode is written, so the tree is left as it was.
+bits.  No bytecode is written, so the tree is left as it was.
 
 * ``pde``: seeds 0-19 of the benchmark's ``pde-reference`` workload; per
   solve, the sampled times and radii, the final field and radius, and the
@@ -144,8 +142,6 @@ def cli_digest(tree: str, workloads) -> tuple[str, int]:
 
 def main(argv: list[str]) -> int:
     tree = os.path.abspath(argv[0] if argv else os.path.join(os.path.dirname(__file__), ".."))
-    for name in [key for key in os.environ if key.startswith("SPHEREDISS_")]:
-        del os.environ[name]
     sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "bench")]
     import spherediss
     import workloads
