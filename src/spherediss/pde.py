@@ -163,8 +163,7 @@ def _solve_stretch_ratio(span: float, cells: int, h0: float) -> float:
 
 
 def _build_grid(rhat_max: float, nodes: int, h0: float) -> tuple[np.ndarray, float]:
-    span = rhat_max - 1.0
-    cells = nodes - 1
+    span, cells = rhat_max - 1.0, nodes - 1
     ratio = _solve_stretch_ratio(span, cells, h0)
     if ratio == 1.0:
         return np.linspace(1.0, rhat_max, nodes), ratio
@@ -323,10 +322,14 @@ def _solute_drift(x: np.ndarray, y: np.ndarray, eps: float, beta: float) -> floa
     return field / ((1.0 - radius**3) * (1.0 - beta + 1.0 / (math.pi * eps)) / 3.0) - 1.0
 
 
+def _start_radius(eps: float) -> float:
+    """The short-time radius R = 1 - 2 eps sqrt(t) at ``T_INIT``, where every run starts."""
+    return 1.0 - 2.0 * eps * math.sqrt(T_INIT)
+
+
 def _grid(eps: float, t_stop: float, config: PdeConfig) -> tuple[np.ndarray, float, float]:
     """The grid x of a run to ``t_stop``, its ``rhat_max`` and its stretch ratio."""
-    # the run starts from the short-time radius at T_INIT, which must lie above the floor
-    r_init = 1.0 - 2.0 * eps * math.sqrt(T_INIT)
+    r_init = _start_radius(eps)  # must lie above the floor
     if r_init <= config.min_radius:
         bound = (1.0 - config.min_radius) / (2.0 * math.sqrt(T_INIT))
         raise DomainError("epsilon", f"must stay below {bound:.6g} for the run to start above "
@@ -346,10 +349,9 @@ def _grid(eps: float, t_stop: float, config: PdeConfig) -> tuple[np.ndarray, flo
 
 
 def _start(eps: float, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """The start time ``T_INIT`` and the state there on the grid x: the
-    short-time profile C = (R/r) erfc((r - R) sqrt(pi / 4t)) with
-    R = 1 - 2 eps sqrt(t), so w = x C = erfc((x - 1) R sqrt(pi / 4t))."""
-    r_init = 1.0 - 2.0 * eps * math.sqrt(T_INIT)
+    """The start time ``T_INIT`` and the state there on the grid x: the short-time
+    profile C = (R/r) erfc((r - R) sqrt(pi / 4t)), so w = x C = erfc((x - 1) R sqrt(pi / 4t))."""
+    r_init = _start_radius(eps)
     w = [math.erfc(v) for v in (x[1:-1] - 1.0) * r_init * math.sqrt(math.pi / (4.0 * T_INIT))]
     return T_INIT, np.append(w, r_init)
 
@@ -382,10 +384,8 @@ def _advance(grid: tuple[np.ndarray, float, float], eps: float, density_ratio: f
     snapshots = []
     for t_snap, y_snap in zip(snapshot_times, run.y_eval):
         if y_snap is None:
-            raise DomainError(
-                "snapshot_times",
-                f"t={t_snap!r} outside the integrated span [{t0:g}, {t_final:g}]",
-            )
+            raise DomainError("snapshot_times",
+                              f"t={t_snap!r} outside the integrated span [{t0:g}, {t_final:g}]")
         snapshots.append(field_at(t_snap, y_snap))
 
     return MovingBoundaryResult(curve, tuple(snapshots), field_at(t_final, run.y))
