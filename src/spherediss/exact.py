@@ -52,12 +52,6 @@ from .curves import (
 from .errors import DomainError
 from .model import _GROWTH, Regime, branch_exponent, classify_regime
 
-#: Queries below this time return the initial radius, avoiding the
-#: 1/sqrt(t) singularity of the flux term, where that shortcut's error
-#: 2 |eps| sqrt(t) stays within acceptance criterion 3's 1e-6.
-TINY_TIME = 1e-14
-_SHORTCUT_ERROR = 1e-6
-
 #: |R - 1| <= |eps| (t + 2 sqrt(t)); below this bound R rounds to 1.0.
 _ROUNDS_TO_ONE = 1e-17
 
@@ -205,8 +199,8 @@ def _point(branch: _Branch, param: float) -> ParametricPoint:
         raise DomainError("param", f"must be {'>' if growth else '>='} {lower!r}, got {param!r}")
     g = param - lower
     t = branch.time(g)
-    if t < EARLIEST_SAMPLE:
-        raise DomainError("param", f"{param!r} gives t={t!r}, below {EARLIEST_SAMPLE:.3g}")
+    if not EARLIEST_SAMPLE <= t < math.inf:
+        raise DomainError("param", f"{param!r} gives t={t!r}, outside [{EARLIEST_SAMPLE:.3g}, inf)")
     return ParametricPoint(param, t, branch.radius(g, t), branch.regime)
 
 
@@ -271,13 +265,10 @@ def radius_at(eps: float, t):
 
 
 def _radius(eps: float, branch: _Branch | None, t0: float, t: float) -> float:
-    """R at one checked time t; 1 at eps = 0, at tiny times and where R rounds to 1."""
+    """R at one checked time t; 1 at eps = 0 and where R rounds to 1, as in ``exact_curve``."""
     if t >= t0:
         return 0.0
-    if branch is None:
-        return 1.0
-    if ((t < TINY_TIME and math.sqrt(t) <= 0.5 * _SHORTCUT_ERROR / abs(eps))
-            or _rounds_to_one(eps, t)):
+    if branch is None or _rounds_to_one(eps, t):
         return 1.0
     return _radius_in_range(branch, _offset_at(branch, t), t, "t")
 

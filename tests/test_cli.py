@@ -56,6 +56,10 @@ class TestT0Table:
         assert code == 3
         assert err.startswith("epsilons:")
 
+    def test_rejects_an_empty_list(self, capsys):
+        code, out, err = run_cli(capsys, "t0-table", "--epsilons", ",")
+        assert (code, out, err) == (3, "", "epsilons: empty list\n")
+
 
 class TestCurve:
     def test_static_curve_constant(self, capsys):
@@ -266,6 +270,10 @@ class TestCompare:
         )
         assert code == 3
         assert err.startswith("epsilon:")
+
+    def test_needs_a_method(self, capsys):
+        code, out, err = run_cli(capsys, "compare", "--epsilon", "0.1", "--methods", ",")
+        assert (code, out, err) == (3, "", "methods: need at least one method\n")
 
     def test_growth_needs_t_max(self, capsys):
         code, _, err = run_cli(

@@ -34,7 +34,6 @@ from spherediss.curves import (
     query_times,
 )
 from spherediss.exact import (
-    TINY_TIME,
     _branch,
     _time,
     array_ops,
@@ -176,9 +175,11 @@ class TestParametricPointFloor:
         lambda: param_point_critical(1e160), lambda: param_point_critical(1e300),
         lambda: param_point_dissolution(0.1, 1e200), lambda: param_point_growth(-0.1, 1e300),
         lambda: param_point_supercritical(5.0, 1e300),
+        lambda: param_point_growth(-1e-300, 1.000000000000001),
     ])
     def test_time_below_the_earliest_sample_is_refused(self, point):
-        # a subnormal t keeps too few bits for R, and below 5e-324 t rounds to 0
+        # a subnormal t keeps too few bits for R, and below 5e-324 t rounds to 0; a time
+        # that overflows is refused under the same argument name
         with pytest.raises(DomainError) as info:
             point()
         assert str(info.value).startswith("param: ")
@@ -255,9 +256,6 @@ class TestRadiusAt:
             radius_at(0.1, -1.0)
         with pytest.raises(DomainError):
             radius_at(0.1, math.nan)
-
-    def test_tiny_time_shortcut(self):
-        assert radius_at(0.5, 1e-15) == 1.0
 
     @pytest.mark.parametrize("eps", [0.1, 0.01, -0.2])
     @pytest.mark.parametrize("kind", ["int", "float64", "0-d array"])
@@ -412,6 +410,13 @@ class TestExactCurve:
             assert np.all(curve.radii[rounds] == 1.0), t_max
             assert np.all(radius_at(eps, curve.times[rounds]) == 1.0), t_max
 
+    @pytest.mark.parametrize("eps", [1e6, -1e6, 1e3, -1e3, 5.0, -5.0, 0.5])
+    @pytest.mark.parametrize("t_max", [1e-20, 1e-15])
+    def test_radii_equal_radius_at_at_tiny_times(self, eps, t_max):
+        # one rule for R = 1: the curve and the point query agree at the curve's own times
+        curve = exact_curve(eps, 256, t_max)
+        np.testing.assert_allclose(curve.radii, radius_at(eps, curve.times), rtol=1e-12, atol=0.0)
+
     @pytest.mark.parametrize("eps", [2.0, 5.0])
     def test_critical_and_supercritical_curves(self, eps):
         curve = exact_curve(eps, 128)
@@ -541,9 +546,16 @@ class TestBranchEdgesAgainstMpmath:
         assert abs(radius_at(eps, t) - reference) <= 1e-12 * max(abs(reference), 1)
 
     @pytest.mark.parametrize(
-        "eps,t", [(-0.1, 1e6), (-1e6, 1.0), (-1e-8, 10.0), (-0.1, 1e300), (-1e154, 8e307)]
+        "eps,t", [(-0.1, 1e6), (-1e6, 1.0), (-1e-8, 10.0), (-0.1, 1e300), (-1e154, 8e307),
+                  (-5.0, 1e-15), (-1e6, 1e-25)]
     )
     def test_radius_during_growth(self, mp, eps, t):
+        reference = _mp_radius(mp, eps, t)
+        assert abs(radius_at(eps, t) - reference) <= 1e-12 * max(abs(reference), 1)
+
+    @pytest.mark.parametrize("eps,t", [(5.0, 9.9e-15), (1e6, 2e-25), (0.5, 1e-15)])
+    def test_radius_at_tiny_times(self, mp, eps, t):
+        # below 1e-14 the radius is inverted as at every other time, not taken as 1
         reference = _mp_radius(mp, eps, t)
         assert abs(radius_at(eps, t) - reference) <= 1e-12 * max(abs(reference), 1)
 
@@ -718,8 +730,7 @@ def _seed_radius_at(eps, t):
     if t >= t0:
         return 0.0
     root, size = math.sqrt(t), abs(eps)
-    if branch is None or ((t < TINY_TIME) & (root <= 0.5 * 1e-6 / size)
-                          | (t + 2.0 * root <= 1e-17 / size)):
+    if branch is None or t + 2.0 * root <= 1e-17 / size:
         return 1.0
     return branch.radius(_seed_offset_at(branch, t), t)
 
@@ -855,8 +866,9 @@ def _work_mix():
 class TestInversionWork:
     # Branch-curve evaluations over the mix: one per Newton iteration, one for t0 on the
     # dissolving branches and one for the bracket's lower bound there.  Pinned at the count
-    # of the xp-generic solver this one replaced, which evaluated log t once per iteration.
-    CURVE_CALLS = 8916
+    # of this solver with one rule for R = 1, which inverts every time where R does not
+    # round to 1, tiny times included.
+    CURVE_CALLS = 8992
 
     def test_curve_evaluations_are_pinned(self, monkeypatch):
         queries = _work_mix()

@@ -233,6 +233,18 @@ class TestRadiusCurveValidation:
         with pytest.raises(ValueError):
             RadiusCurve(MethodId.EXACT_QS, -0.1, [0.0, 1.0, 2.0], [1.0, 1.5, 1.2])
 
+    @pytest.mark.parametrize("times,radii,message", [
+        ([0.0, 1.0], [1.0], "times and radii must be 1-d arrays of equal length"),
+        ([[0.0, 1.0]], [[1.0, 0.9]], "times and radii must be 1-d arrays of equal length"),
+        ([], [], "a curve needs at least one sample"),
+        ([0.0, math.inf], [1.0, 0.9], "curve samples must be finite"),
+        ([0.0, 1.0], [1.0, math.nan], "curve samples must be finite"),
+        ([0.0, 1.0], [1.0, -0.5], "radii must be non-negative"),
+    ])
+    def test_refuses_malformed_samples(self, times, radii, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            RadiusCurve(MethodId.EXACT_QS, 0.1, times, radii)
+
     def test_method_strings_are_stable(self):
         assert MethodId.EXACT_QS.value == "exact"
         assert MethodId.QSS.value == "qss"

@@ -141,7 +141,12 @@ def cli_digest(tree: str, workloads) -> tuple[str, int]:
 
 
 def main(argv: list[str]) -> int:
+    if "-h" in argv or "--help" in argv:
+        print(__doc__)
+        return 0
     tree = os.path.abspath(argv[0] if argv else os.path.join(os.path.dirname(__file__), ".."))
+    if not os.path.isdir(os.path.join(tree, "src", "spherediss")):
+        sys.exit(f"usage: python3 tools/same_bits.py [TREE]\nno src/spherediss in {tree}")
     sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "bench")]
     import spherediss
     import workloads
