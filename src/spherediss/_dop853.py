@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 
-from . import curves
-
 # DOP853 tableau from Hairer's dop853.f, in the digits of scipy's
 # scipy/integrate/_ivp/dop853_coefficients.py (BSD-3-Clause, the SciPy
 # developers).  Stages 0-11 take a step, row A[12] holds the weights of the
@@ -115,7 +113,6 @@ SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
 ERROR_EXPONENT = -1.0 / 8.0  # the error estimate is of order 7
-CROSSING_XTOL = 1e-15
 
 
 def _dot(row, k) -> float:
@@ -207,8 +204,3 @@ def _interpolate(t: float, t_old, h, y_old, f0, f1, f2, f3, f4, f5, f6) -> float
     y = (y + f0) * x
     return y + y_old
 
-
-def crossing(row: tuple, lo: float, hi: float, level: float) -> float:
-    """Bisect one step's interpolant for the t in [lo, hi] where it falls to ``level``."""
-    lo, hi = curves.bisect(lambda t: _interpolate(t, *row) > level, lo, hi, CROSSING_XTOL)
-    return 0.5 * (lo + hi)

@@ -3,8 +3,8 @@ the query contract every layer applies before it evaluates a formula, each
 rule written once: what a valid time is (``query_times``), how far past t0 a
 time may lie (``check_not_past``), when a dissolution time exists
 (``dissolution_time``) and when an end time is required (``check_end``).
-Every search for a level crossing (the blended t0, the solvers' radius-floor
-stops, the PDE grid's stretching ratio) halves its bracket in ``bisect``.
+Every bisection for a level crossing (the blended t0, the moving-boundary solver's
+radius-floor stop, the PDE grid's stretching ratio) halves its bracket in ``bisect``.
 """
 
 from __future__ import annotations

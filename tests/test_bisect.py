@@ -1,8 +1,8 @@
-"""``curves.bisect``, the one bracket-halving loop, and the four searches built on it.
+"""``curves.bisect``, the one bracket-halving loop, and the three searches built on it.
 
-Each search (the blended formula's dissolution time, the ODE oracle's and the
-moving-boundary solver's radius-floor stops, the PDE grid's stretching ratio)
-once had a loop of its own.  Those loops are kept here as ``_seed_*``
+Each search (the blended formula's dissolution time, the moving-boundary
+solver's radius-floor stop, the PDE grid's stretching ratio) once had a loop
+of its own.  Those loops are kept here as ``_seed_*``
 references, and every search must return their bits.
 """
 
@@ -11,13 +11,8 @@ import math
 import numpy as np
 import pytest
 
-from spherediss import (
-    DomainError,
-    PdeConfig,
-    integrate_radius,
-    solve_moving_boundary,
-)
-from spherediss import _bdf, _dop853, approx, ode, pde
+from spherediss import DomainError, PdeConfig, solve_moving_boundary
+from spherediss import _bdf, approx, pde
 from spherediss.curves import array_ops, bisect, dissolution_time
 
 
@@ -103,18 +98,6 @@ def _seed_blended_t0(eps):
     return 0.5 * (lo + hi)
 
 
-def _seed_crossing(row, lo, hi, level):
-    while hi - lo > _dop853.CROSSING_XTOL:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if _dop853._interpolate(mid, *row) > level:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def _seed_bdf_floor(above, lo, hi):
     """The moving-boundary solver's floor time: the side where R has reached the floor."""
     while True:
@@ -155,29 +138,6 @@ class TestSearchesMatchTheirOwnLoops:
         approx.blended_t0.cache_clear()
         for eps in map(float, epsilons):
             assert _outcome(approx.blended_t0, eps) == _outcome(_seed_blended_t0, eps), eps
-
-    @pytest.mark.parametrize("eps", [1e-4, 1e-2, 0.3, 1.9, 10.0, 1e4])
-    @pytest.mark.parametrize("min_radius", [1e-8, 1e-5])
-    def test_ode_crossing(self, monkeypatch, eps, min_radius):
-        calls = []
-        crossing = _dop853.crossing
-
-        def recording(*args):
-            calls.append(args)
-            return crossing(*args)
-
-        monkeypatch.setattr(_dop853, "crossing", recording)
-        monkeypatch.setattr(ode, "MIN_RADIUS", min_radius)
-        run = integrate_radius(eps)
-        (row, lo, hi, level), = calls  # the floor row of a real run
-        tau_stop = _seed_crossing(row, lo, hi, level)
-        assert np.float64(run.curve.times[-1]).tobytes() == np.float64(tau_stop**2).tobytes()
-        # and levels on every step of the run, the floor row's with random ones
-        rng = np.random.default_rng(len(run._rows))
-        for row in run._rows:
-            lo, hi = row[0], row[0] + row[1]
-            level = _dop853._interpolate(lo + float(rng.uniform(0.0, 1.0)) * row[1], *row)
-            assert crossing(row, lo, hi, level) == _seed_crossing(row, lo, hi, level)
 
     @pytest.mark.parametrize("eps,ratio,min_radius", [(0.1, 1.0, None), (1.0, 1.0, 0.5),
                                                       (0.5, 1.0, 0.3), (0.3, 0.5, 0.2)])

@@ -7,7 +7,6 @@ import sys
 import pytest
 
 import spherediss
-from spherediss import ode
 from spherediss.cli import main, t0_table
 
 
@@ -721,11 +720,7 @@ class TestGoldenOutput:
     DOP853 oracle printed it.  The 6-significant-digit display must match
     byte for byte.  The full-precision ``# summary`` deviations of ``compare``
     are differences of radii that agree to ~1e-10, so a last-digit change of
-    either radius moves them; they are compared to 1e-9 absolute.  Cases
-    marked ``last_row_at_floor`` run to extinction: the scipy oracle printed
-    its interpolant's rounding noise at the floor crossing (R ~ 1e-8), so
-    only that row's time is compared; the radius is pinned by
-    ``test_ode_curve_to_extinction_ends_at_the_floor``.
+    either radius moves them; they are compared to 1e-9 absolute.
 
     ``tests/data/cli_golden_files.json`` holds the JSON, ``--raw`` and
     ``--output`` variants and short ``pde`` runs; their stdout and every file
@@ -740,10 +735,6 @@ class TestGoldenOutput:
         assert code == 0, err
         body, summary = split_summary(out)
         golden_body, golden_summary = split_summary(case["stdout"])
-        if case.get("last_row_at_floor"):
-            body, last = body.rstrip("\n").rsplit("\n", 1)
-            golden_body, golden_last = golden_body.rstrip("\n").rsplit("\n", 1)
-            assert last.split(",")[0] == golden_last.split(",")[0]
         assert body == golden_body
         assert summary.keys() == golden_summary.keys()
         for key, value in golden_summary.items():
@@ -767,9 +758,8 @@ class TestGoldenOutput:
             assert written[name] == text, name
 
     @pytest.mark.parametrize("eps", [0.1, 1.5])
-    def test_ode_curve_to_extinction_ends_at_the_floor(self, capsys, eps):
-        # The last row lies at the floor crossing, where y = R^2 ~ 1e-16 is below the
-        # interpolant's rounding; it prints the floor radius itself, not that noise.
+    def test_ode_curve_to_extinction_ends_at_zero(self, capsys, eps):
+        # The oracle's run ends at R = 0 itself, so the last row prints its t0 and 0.
         code, out, _ = run_cli(
             capsys, "curve", "--epsilon", str(eps), "--method", "ode", "--samples", "9", "--raw"
         )
@@ -777,4 +767,4 @@ class TestGoldenOutput:
         _, rows = parse_csv(out)
         t_last, r_last = (float(v) for v in rows[-1])
         assert t_last == pytest.approx(spherediss.time_to_dissolution(eps), rel=1e-8)
-        assert r_last == ode.MIN_RADIUS
+        assert r_last == 0.0

@@ -569,8 +569,8 @@ class TestTinyTimeShortcut:
     @pytest.mark.parametrize("eps", [1e6, -1e6, 5.0, -5.0, 0.5])
     @pytest.mark.parametrize("t", [1e-16, 0.99e-14, 1e-14, 1.01e-14])
     def test_error_stays_within_criterion_3(self, eps, t):
-        # R = 1 - 2 eps sqrt(t) - eps t + ..., so the shortcut R = 1 may only
-        # be taken where 2 |eps| sqrt(t) <= 1e-6
+        # the inversion near t = 1e-14 against the short-time expansion
+        # R = 1 - 2 eps sqrt(t) - eps t + ..., whose next term is below 1e-6 here
         assert abs(radius_at(eps, t) - (1.0 - 2.0 * eps * math.sqrt(t))) <= 1e-6
 
 

@@ -27,24 +27,14 @@ class TestDissolution:
             )
 
     @pytest.mark.parametrize("eps, rel", [
-        *[(eps, 1e-8) for eps in (1e-8, 1e-4, 1e-3, 0.01, 0.1, 0.5, 1.0, 1.9, 2.0, 2.1, 5.0, 100.0)],
-        # README's bound: ATOL on y = R^2 lets R err near the floor R = 1e-8 (up to 1.3e-5),
-        # and from eps ~ 1e14 the crossing step is narrower than CROSSING_XTOL (1.3e-4)
-        *[(eps, 1.3e-4) for eps in (1e3, 1e4, 1e6, 1e10, 1e14, 1e50, 1e140, 6e143)],
+        (eps, 1e-8) for eps in (3e-309, 1e-300, 1e-12, 1e-8, 1e-4, 1e-3, 0.01, 0.1, 0.5, 1.0,
+                                1.9, 2.0, 2.1, 5.0, 100.0, 1e3, 1e4, 1e6, 1e10, 1e14, 1e50,
+                                1e140, 6e143)
     ])
     def test_dissolution_time_relative_error(self, eps, rel):
         # relative only: t0 falls to 2.5e-9 at eps = 1e4, below any useful absolute tolerance
         run = integrate_radius(eps)
         assert run.dissolution_time == pytest.approx(time_to_dissolution(eps), rel=rel, abs=0)
-
-    @pytest.mark.parametrize("eps", [1e4, 1e10, 1e14, 1e16, 1e50, 1e140])
-    def test_extrapolation_adds_no_error_at_large_eps(self, eps):
-        # near the floor tau is no longer large against R: the flux's 1/sqrt(t) term
-        # carries the last stretch, and 1/R alone overshoots t0 by up to 2x and beyond
-        run = integrate_radius(eps)
-        exact = time_to_dissolution(eps)
-        stop_error = abs(run.t_end / exact - 1.0)
-        assert abs(run.dissolution_time / exact - 1.0) <= stop_error + 1e-8
 
     def test_curve_starts_at_unity_and_decreases(self):
         run = integrate_radius(0.3)
@@ -58,15 +48,31 @@ class TestDissolution:
 
     def test_radius_negligible_at_extinction(self):
         run = integrate_radius(0.1)
-        # queries at or past the stopping radius resolve to the floor scale
+        # the run's own t0 is where it reaches R = 0
         assert run.radius_at(run.dissolution_time) <= 2e-8
 
     @pytest.mark.parametrize("eps", [0.01, 0.1, 0.5, 1.0, 1.5, 3.0, 100.0])
     def test_span_end_is_the_floor_radius(self, eps):
-        # the interpolant's rounding at y = R^2 ~ 1e-16 does not leak into R(t_end)
+        # the run ends at R = 0 itself: its last radius, and the answer at t_end
         run = integrate_radius(eps)
-        assert run.radius_at(run.t_end) == run.curve.radii[-1] == ode.MIN_RADIUS
+        assert run.t_end == run.dissolution_time == run.curve.times[-1]
+        assert run.radius_at(run.t_end) == run.curve.radii[-1] == 0.0
         assert run.radius_at(np.array([run.t_end]))[0] == run.curve.radii[-1]
+
+
+class TestAcceptedRange:
+    def test_t0_and_radii_match_the_closed_forms(self):
+        # seeded log-uniform eps over every value the oracle accepts, to 2.8e-309 where
+        # 1/(2 eps) overflows and up to the 6.70e143 of _MAX_SCALED_RATE
+        rng = np.random.default_rng(20)
+        low, high = math.log10(2.8e-309), math.log10(6.7e143)
+        for eps in 10.0 ** rng.uniform(low, high, 150):
+            run = integrate_radius(float(eps))
+            t0 = time_to_dissolution(float(eps))
+            assert run.dissolution_time == pytest.approx(t0, rel=1e-8, abs=0), eps
+            for fraction in (0.1, 0.5, 0.9, 0.995, 0.9999):
+                gap = abs(run.radius_at(fraction * t0) - radius_at(float(eps), fraction * t0))
+                assert gap <= 1e-8, (eps, fraction)
 
 
 class TestStaticAndGrowth:
@@ -151,10 +157,10 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("eps", [0.007937005259840998, 0.1639, 0.5])
     def test_dissolved_run_is_zero_at_and_after_the_exact_t0(self, eps):
-        # the extrapolated t0 falls a few 1e-9 short of the exact one here
+        # at and after the run's own t0, which lies within 1e-8 of the exact one
         run = integrate_radius(eps)
-        t0 = time_to_dissolution(eps)
-        assert run.dissolution_time < t0
+        t0 = run.dissolution_time
+        assert t0 == pytest.approx(time_to_dissolution(eps), rel=1e-8, abs=0)
         for t in (t0, 10.0 * t0):
             radius = run.radius_at(t)
             assert type(radius) is float and radius == 0.0
@@ -173,7 +179,9 @@ class TestCurveMetadata:
         monkeypatch.setattr(ode, "ATOL", 1e-9)
         run = integrate_radius(0.2)
         assert run.curve.metadata["rel_tol"] == 1e-8
-        assert run.curve.metadata["abs_tol"] == 1e-9
+        # a dissolution run scales ATOL to sigma's final size, of order sqrt(2 eps)
+        assert run.curve.metadata["abs_tol"] == 1e-9 * math.sqrt(0.4)
+        assert integrate_radius(-0.2, t_end=1.0).curve.metadata["abs_tol"] == 1e-9
         assert run.curve.metadata["dissolution_time"] == run.dissolution_time
         assert run.curve.epsilon == 0.2
 
@@ -231,31 +239,30 @@ REFERENCE_EPSILONS = [1e-4, 1e-3, 0.1, 1.0, 2.0, 5.0, 100.0, 1e4, -1e-3, -0.1, -
 
 
 def scipy_reference(eps, t_end):
-    """The same oracle run with scipy's DOP853, OdeSolution and brentq."""
+    """The same oracle run with scipy's DOP853 and OdeSolution: y = R^2 in tau for
+    eps <= 0, sigma = 2 eps sqrt(t) in s = 1 - R for eps > 0, its first step at most 2 eps."""
     from scipy.integrate import DOP853, OdeSolution
-    from scipy.optimize import brentq
 
     if eps > 0:
-        tau_bound = math.sqrt(0.5 / eps) * (1.0 + 1e-9)
+        def rate(s, y):
+            flux = 2.0 * eps * (1.0 - s)
+            return [flux / (y[0] + flux)]
+
+        atol = ode.ATOL * min(1.0, math.sqrt(2.0 * eps))
+        first = DOP853(rate, 0.0, np.array([0.0]), t_bound=1.0, rtol=ode.RTOL, atol=atol).h_abs
+        solver = DOP853(rate, 0.0, np.array([0.0]), t_bound=1.0, rtol=ode.RTOL, atol=atol,
+                        first_step=min(first, 2.0 * eps))
     else:
-        tau_bound = math.sqrt(t_end)
-    solver = DOP853(
-        lambda tau, y: [-4.0 * eps * (tau + math.sqrt(max(y[0], 0.0)))],
-        0.0, np.array([1.0]), t_bound=tau_bound, rtol=ode.RTOL, atol=ode.ATOL,
-    )
-    floor_sq = ode.MIN_RADIUS**2
-    taus, segments, dissolution_time = [0.0], [], None
+        solver = DOP853(
+            lambda tau, y: [-4.0 * eps * (tau + math.sqrt(max(y[0], 0.0)))],
+            0.0, np.array([1.0]), t_bound=math.sqrt(t_end), rtol=ode.RTOL, atol=ode.ATOL,
+        )
+    ends, segments = [0.0], []
     while solver.status == "running":
         solver.step()
-        segment = solver.dense_output()
-        segments.append(segment)
-        taus.append(solver.t)
-        if eps > 0 and solver.y[0] <= floor_sq:
-            taus[-1] = brentq(lambda s: float(segment(s)[0]) - floor_sq,
-                              segment.t_old, segment.t, xtol=1e-15)
-            dissolution_time = taus[-1] ** 2 + floor_sq / (2.0 * eps)
-            break
-    return len(segments), OdeSolution(np.asarray(taus), segments), taus[-1], dissolution_time
+        segments.append(solver.dense_output())
+        ends.append(solver.t)
+    return len(segments), OdeSolution(np.asarray(ends), segments)
 
 
 class TestAgainstScipy:
@@ -277,17 +284,22 @@ class TestAgainstScipy:
     @pytest.mark.parametrize("eps", REFERENCE_EPSILONS)
     def test_same_steps_and_solution(self, eps):
         t_end = None if eps > 0 else 50.0
-        steps, solution, tau_end, dissolution_time = scipy_reference(eps, t_end)
+        steps, solution = scipy_reference(eps, t_end)
         run = integrate_radius(eps, t_end=t_end)
         assert run.curve.metadata["steps"] == steps
-        taus = np.linspace(0.0, tau_end, 501)
-        expected = np.maximum(solution(taus)[0], 0.0)
-        got = run.radius_at(taus**2) ** 2
-        assert np.all(np.abs(got - expected) <= 1e-9 * np.maximum(1.0, expected))
         if eps > 0:
-            assert run.dissolution_time == pytest.approx(dissolution_time, rel=1e-8)
-            assert run.dissolution_time == pytest.approx(time_to_dissolution(eps), rel=1e-6)
+            # R at the times where scipy's sigma is 2 eps sqrt(t), short of R = 0
+            lost = np.linspace(0.0, 0.998, 500)
+            times = (solution(lost)[0] / (2.0 * eps)) ** 2
+            assert np.all(np.abs(run.radius_at(times) - (1.0 - lost)) <= 1e-9)
+            t0 = (solution(1.0)[0] / (2.0 * eps)) ** 2
+            assert run.dissolution_time == pytest.approx(t0, rel=1e-12)
+            assert run.dissolution_time == pytest.approx(time_to_dissolution(eps), rel=1e-8)
         else:
+            taus = np.linspace(0.0, math.sqrt(t_end), 501)
+            expected = np.maximum(solution(taus)[0], 0.0)
+            got = run.radius_at(taus**2) ** 2
+            assert np.all(np.abs(got - expected) <= 1e-9 * np.maximum(1.0, expected))
             assert run.dissolution_time is None
 
     def test_oracle_gap_to_closed_form(self):

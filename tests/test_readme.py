@@ -42,6 +42,6 @@ def test_module_constants_hold_their_listed_values():
     listed = [(module, name, ast.literal_eval(value))
               for names, value in bullets
               for module, name in re.findall(r"spherediss\.(\w+)\.(\w+)", names)]
-    assert len(listed) == 8
+    assert len(listed) == 7
     for module, name, value in listed:
         assert getattr(importlib.import_module(f"spherediss.{module}"), name) == value, name
