@@ -181,9 +181,10 @@ def approx_t0(method: MethodId, eps: float) -> float:
     return dissolution_time(eps, formula, method.value)
 
 
-def _radius(method: MethodId, eps: float, t):
+def _radius(method: MethodId, eps: float, t, param: str = "t"):
     """``approx_radius``: applies the method's epsilon domain, the time checks,
-    its end-time rule and its formula."""
+    its end-time rule and its formula, and refuses a radius that is not finite
+    (the times named ``param``)."""
     formula, blended = _FORMULAS.get(method), method is MethodId.BLENDED
     if blended:
         # the fit is undefined at eps = 0, where every weight gives R = 1
@@ -197,13 +198,25 @@ def _radius(method: MethodId, eps: float, t):
         past = eps > 0 and t >= blended_t0(eps)
         if xp is FLOAT_OPS and past:
             warn_clamped("blended", t)
-        return xp.where(past, 0.0, xp.sqrt(xp.maximum(_blend_radicand(eps, alpha, t, xp), 0.0)))
-    if method is MethodId.SMALL_TIME:
+
+        def formula(eps, t, xp):
+            return xp.where(past, 0.0, xp.sqrt(xp.maximum(_blend_radicand(eps, alpha, t, xp), 0.0)))
+    elif method is MethodId.SMALL_TIME:
         if xp is FLOAT_OPS and 2.0 * eps * math.sqrt(t) > 1.0:
             warn_clamped("small-time", t)
     elif eps > 0:  # the raw t0: infinite where it overflows, and then never passed
         check_not_past(last, _T0_DISPATCH[method](eps), method.value)
-    return formula(eps, t, xp)
+    if xp is FLOAT_OPS:
+        radius = top = formula(eps, t, xp)
+    else:
+        import numpy as np
+        with np.errstate(over="ignore", invalid="ignore"):
+            radius = formula(eps, t, xp)
+        top = float(radius.max(initial=0.0))  # nan if any radius is, as no radius is below 0
+    if not math.isfinite(top):
+        raise DomainError(param, f"the {method.value} radius is not finite at epsilon={eps!r} "
+                                 f"for times up to {last!r}")
+    return radius
 
 
 def approx_radius(method: MethodId, eps: float, t):
@@ -211,7 +224,8 @@ def approx_radius(method: MethodId, eps: float, t):
 
     ``t`` is a float or an array of times (which returns an array).  Past
     t0, small-time and blended clamp to 0, warning for a float and silently
-    for an array; the other formulas raise ``PastDissolutionError``.
+    for an array; the other formulas raise ``PastDissolutionError``.  A radius
+    that overflows, as in growth at huge |eps| t, raises ``DomainError``.
     """
     return _radius(method, eps, t)
 
@@ -229,5 +243,5 @@ def approx_curve(
     t_end = min(approx_t0(method, eps), t_max or math.inf) if eps > 0 else t_max
     check_span(t_end, t_max)
     times = np.linspace(0.0, math.sqrt(t_end), n) ** 2
-    return RadiusCurve(method, eps, times, approx_radius(method, eps, times),
+    return RadiusCurve(method, eps, times, _radius(method, eps, times, "t_max"),
                        {"samples": n, "t_max": t_max})

@@ -198,7 +198,7 @@ def _cmd_compare(args) -> None:
             values = exact_values
         elif method is MethodId.ODE_ORACLE:
             from . import ode
-            run = ode.integrate_radius(eps, t_end=None if eps > 0 else float(times[-1]))
+            run = ode.integrate_radius(eps, t_end=float(times[-1]))
             values = run.radius_at(times)
         elif method is MethodId.PDE_REFERENCE:
             result = _pde_run(eps, args.rho_ratio, t_end=float(times[-1]) * 1.0000001,
@@ -214,10 +214,13 @@ def _cmd_compare(args) -> None:
     for name, values in columns.items():
         valid = np.isfinite(values)
         deviation = np.abs(values[valid] - exact_values[valid])
-        summary[f"max_abs_dev_{name}"] = float(np.max(deviation)) if deviation.size else math.nan
-        summary[f"rms_dev_{name}"] = (
-            float(np.sqrt(np.mean(deviation**2))) if deviation.size else math.nan
-        )
+        top = float(np.max(deviation)) if deviation.size else math.nan
+        with np.errstate(over="ignore"):
+            rms = float(np.sqrt(np.mean(deviation**2))) if deviation.size else math.nan
+        if math.isinf(rms):  # the squares overflow: scale them by the largest deviation
+            rms = top * float(np.sqrt(np.mean((deviation / top) ** 2)))
+        summary[f"max_abs_dev_{name}"] = top
+        summary[f"rms_dev_{name}"] = rms
 
     meta = _base_meta(epsilon=eps, methods=",".join(m.value for m in methods), samples=n)
     header = ["t"] + [m.value for m in methods]

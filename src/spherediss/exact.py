@@ -302,7 +302,8 @@ def exact_curve(eps: float, n: int = 256, t_max: float | None = None) -> RadiusC
     metadata = {"samples": n, "parameter_grid": "uniform" if ones and eps <= 0 else "geometric",
                 "t_max": t_max}
     if ones:
-        times = np.geomspace(t_end * 1e-10, t_end, n) if eps > 0 else np.linspace(0.0, t_max, n)
+        with np.errstate(over="ignore"):  # linspace may overflow its last point, set to t_max
+            times = np.geomspace(t_end * 1e-10, t_end, n) if eps > 0 else np.linspace(0.0, t_max, n)
         return RadiusCurve(MethodId.EXACT_QS, eps, times, np.ones(n), metadata)
 
     branch = _branch(eps)

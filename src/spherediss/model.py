@@ -143,17 +143,19 @@ class DimensionlessProblem:
     """
 
     epsilon: float
-    regime: Regime
     time_scale: float
     length_scale: float
 
     def __post_init__(self):
         if not math.isfinite(self.epsilon):
             raise DomainError("epsilon", "must be finite")
-        if classify_regime(self.epsilon) is not self.regime:
-            raise DomainError("regime", f"inconsistent with epsilon={self.epsilon!r}")
         if self.time_scale <= 0 or self.length_scale <= 0:
             raise DomainError("time_scale", "scales must be positive")
+
+    @property
+    def regime(self) -> Regime:
+        """See :func:`classify_regime`."""
+        return classify_regime(self.epsilon)
 
     @property
     def branch_exponent(self) -> float:
@@ -187,10 +189,7 @@ def nondimensionalize(scenario: PhysicalScenario) -> DimensionlessProblem:
     epsilon = numerator / (math.pi * scenario.particle_density * bulk_flow)
     time_scale = scenario.initial_radius**2 / (math.pi * scenario.diffusivity)
     return DimensionlessProblem(
-        epsilon=epsilon,
-        regime=classify_regime(epsilon),
-        time_scale=time_scale,
-        length_scale=scenario.initial_radius,
+        epsilon=epsilon, time_scale=time_scale, length_scale=scenario.initial_radius
     )
 
 

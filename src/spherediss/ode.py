@@ -33,10 +33,6 @@ from . import _dop853
 from .curves import FLOAT_OPS, MethodId, RadiusCurve, check_end, dissolution_time, query_times
 from .errors import DomainError, IntegrationError
 
-#: A time at the span's end whose square root rounds above the last tau still
-#: answers with the run's last radius.
-_SQRT_ROUNDING = 1.0 + 1e-12
-
 #: Relative and absolute tolerances of every step's error test, on y = R^2 for
 #: eps <= 0 and on sigma for eps > 0, where the absolute one is scaled by
 #: min(1, sqrt(2 eps)), the order of sigma's final value.
@@ -53,27 +49,27 @@ _MAX_SCALED_RATE = math.sqrt(sys.float_info.max)
 
 
 class RadiusIntegration:
-    """Dense-output result of one oracle run: its ``curve``, the last time
-    ``t_end`` it covers, and the interpolants ``rows`` of its accepted steps with
-    their ``ends`` in tau (in sigma for eps > 0), led by the start 0."""
+    """Dense-output result of one oracle run: its ``curve``, whose last time
+    ``t_end`` ends the run, and the interpolants ``rows`` of its accepted steps
+    with their ``ends`` in tau (in sigma for eps > 0), led by the start 0."""
 
-    def __init__(self, curve: RadiusCurve, t_end: float, ends: list[float], rows: list[tuple]):
+    def __init__(self, curve: RadiusCurve, ends: list[float], rows: list[tuple]):
         self.curve = curve
-        self.t_end = t_end
+        self.t_end = float(curve.times[-1])
         self._ends = ends
         self._rows = rows
 
     @property
     def dissolution_time(self) -> float | None:
-        """Complete-dissolution time, or None if the run's record stops at ``t_end`` before it."""
+        """Complete-dissolution time, the run's ``t_end`` for eps > 0; None for eps <= 0."""
         return self.curve.metadata["dissolution_time"]
 
     def radius_at(self, t):
         """Radius at ``t``, a float or an array of times (which returns an array).
 
-        Past the integrated span a dissolved run answers R = 0, as the short-time
-        and blended formulas do past their t0; one stopped at ``t_end`` raises ``DomainError``.
-        At the span's end the radius is the run's last one (0 after dissolution).
+        A dissolution run answers R = 0 at and past its end, as the short-time and
+        blended formulas do past their t0.  A growth or static run answers its
+        last radius at ``t_end`` and raises ``DomainError`` past it.
         """
         xp, t, _, _ = query_times(t)
         if xp is FLOAT_OPS:
@@ -82,16 +78,17 @@ class RadiusIntegration:
 
     def _radius(self, t: float) -> float:
         eps, ends = self.curve.epsilon, self._ends
-        x = 2.0 * eps * math.sqrt(t) if eps > 0 else math.sqrt(t)  # sigma, or tau
-        if t < self.t_end and x < ends[-1]:
-            if eps > 0:
-                return 1.0 - _radius_lost(ends, self._rows, x, 2.0 * eps)
-            row = self._rows[max(bisect.bisect_left(ends, x) - 1, 0)]
-            return math.sqrt(max(_dop853._interpolate(x, *row), 0.0))
-        if self.dissolution_time is not None and self.t_end < t:
+        if eps > 0:
+            sigma = 2.0 * eps * math.sqrt(t)
+            if t < self.t_end and sigma < ends[-1]:
+                return 1.0 - _radius_lost(ends, self._rows, sigma, 2.0 * eps)
             return 0.0
-        if math.sqrt(t) <= math.sqrt(self.t_end) * _SQRT_ROUNDING:
-            return float(self.curve.radii[-1])  # at the span's end, or past it by sqrt round-off
+        tau = math.sqrt(t)
+        if tau < ends[-1]:
+            row = self._rows[max(bisect.bisect_left(ends, tau) - 1, 0)]
+            return math.sqrt(max(_dop853._interpolate(tau, *row), 0.0))
+        if tau == ends[-1]:
+            return float(self.curve.radii[-1])
         raise DomainError("t", f"t={t!r} is outside the integrated span (<= {self.t_end:.6g})")
 
 
@@ -124,7 +121,8 @@ class _SquaredRadiusRate:
 
     def __call__(self, tau: float, y: float) -> float:
         self.nfev += 1
-        # sqrt is clamped so trial steps past extinction stay well defined
+        # sqrt is clamped so that the stages of a poor trial step, which the
+        # error test rejects, stay well defined
         return self.scale * (tau + math.sqrt(max(y, 0.0)))
 
     def record(self, taus, ys):
@@ -151,9 +149,9 @@ class _SigmaRate:
 def integrate_radius(eps: float, t_end: float | None = None) -> RadiusIntegration:
     """Integrate the radius history numerically, independent of the closed forms.
 
-    For eps > 0 the run ends at R = 0 and reports its complete-dissolution
-    time; with a ``t_end`` before that time, its record ends at ``t_end``.
-    For eps <= 0 a ``t_end`` is required since nothing ever stops the run.
+    For eps > 0 the run ends at R = 0, at its complete-dissolution time, and a
+    ``t_end`` is only checked.  For eps <= 0 a ``t_end`` is required since
+    nothing ever stops the run, and the run ends there.
     """
     check_end(eps, t_end, "t_end")
     rtol, atol = RTOL, ATOL
@@ -184,17 +182,8 @@ def integrate_radius(eps: float, t_end: float | None = None) -> RadiusIntegratio
         ys.append(y)
 
     times, radii = rate.record(xs, ys)
-    ends, t_dissolved = (ys, float(times[-1])) if eps > 0 else (xs, None)
-    if eps <= 0:
-        t_end = xs[-1] ** 2
-    elif t_end is None or t_dissolved <= t_end:
-        t_end = t_dissolved
-    else:  # the record ends at t_end, read from the dense output
-        kept, t_dissolved = times < t_end, None
-        lost = _radius_lost(ys, rows, rate.two_eps * math.sqrt(t_end), rate.two_eps)
-        times, radii = np.append(times[kept], t_end), np.append(radii[kept], 1.0 - lost)
-
-    metadata = {"rel_tol": rtol, "abs_tol": atol, "dissolution_time": t_dissolved,
+    metadata = {"rel_tol": rtol, "abs_tol": atol,
+                "dissolution_time": float(times[-1]) if eps > 0 else None,
                 "steps": len(rows), "rejected": rejected, "nfev": rate.nfev}
     curve = RadiusCurve(MethodId.ODE_ORACLE, eps, times, radii, metadata)
-    return RadiusIntegration(curve, t_end, ends, rows)
+    return RadiusIntegration(curve, ys if eps > 0 else xs, rows)

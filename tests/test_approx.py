@@ -345,3 +345,31 @@ class TestArrayTimes:
         with pytest.raises(DomainError) as info:
             approx_radius(MethodId.ODE_ORACLE, 0.1, np.array([0.0, 1.0]))
         assert info.value.param == "method"
+
+
+#: Growth far enough out that a formula overflows: the blended case's true radius is 1.3e154.
+OVERFLOWS = [(qss_radius, MethodId.QSS, -1e300, 1e300),
+             (small_time_radius, MethodId.SMALL_TIME, -1e300, 1e300),
+             (intuitive_radius, MethodId.INTUITIVE, -1e300, 1e300),
+             (duda_radius, MethodId.DUDA_VRENTAS, -1e300, 1e300),
+             (blended_radius, MethodId.BLENDED, -0.5, 1.7e308)]
+
+
+class TestNonFiniteRadius:
+    """A radius that overflows is refused, for a float and an array alike."""
+
+    @pytest.mark.parametrize("function, method, eps, t", OVERFLOWS)
+    def test_float_and_array_refuse_it(self, function, method, eps, t):
+        finite = approx_radius(method, eps, np.array([1.0, 1e4]))
+        assert finite.tolist() == [function(eps, 1.0), function(eps, 1e4)]
+        with pytest.raises(DomainError) as scalar:
+            function(eps, t)
+        assert scalar.value.param == "t"
+        with pytest.raises(DomainError) as array:
+            approx_radius(method, eps, np.array([1.0, t]))
+        assert str(array.value) == str(scalar.value)
+
+    @pytest.mark.parametrize("method, eps", [(method, eps) for _, method, eps, _ in OVERFLOWS])
+    def test_curve_names_t_max(self, method, eps):
+        with pytest.raises(DomainError, match="^t_max: .* radius is not finite"):
+            approx_curve(method, eps, 4, t_max=1.7976931348623157e308)

@@ -168,6 +168,16 @@ def test_compare_too_early_for_its_samples_is_a_domain_error(capsys, eps):
                    "before (below 2.07e-317)\n")
 
 
+@pytest.mark.parametrize("method, eps, t_max", [("qss", "-1e300", "1e300"),
+                                                ("blended", "-0.5", "1.7976931348623157e308")])
+def test_approximation_that_overflows_is_a_domain_error(capsys, method, eps, t_max):
+    code, out, err = run_cli(capsys, "curve", f"--epsilon={eps}", "--method", method,
+                             "--samples", "4", "--t-max", t_max)
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"t_max: the {method} radius is not finite") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("eps", ["1e149", "1e150", "1e200", "1e300"])
 def test_ode_curve_at_a_huge_epsilon_is_a_domain_error(capsys, eps):
     code, out, err = run_cli(capsys, "curve", "--epsilon", eps, "--method", "ode",
@@ -249,6 +259,19 @@ class TestCompare:
         t_last, exact_last, ode_last = (float(v) for v in rows[-1])
         assert t_last == pytest.approx(spherediss.time_to_dissolution(eps), rel=1e-12)
         assert 0.0 <= exact_last <= 1e-4 and 0.0 <= ode_last <= 1e-4
+
+    def test_rms_where_the_squares_overflow(self, capsys):
+        # deviations of 2e154 square past the float range: the rms is scaled, not inf
+        code, out, err = run_cli(capsys, "compare", "--epsilon=-1e154", "--methods",
+                                 "small-time,duda", "--samples", "4", "--t-max", "1", "--raw")
+        assert code == 0 and err == ""
+        _, rows = parse_csv(out)
+        deviations = [float(small_time) - float(duda) for _, small_time, duda in rows]
+        expected = 1e154 * math.sqrt(math.fsum((d / 1e154) ** 2 for d in deviations) / 4)
+        summary = dict(line[len("# summary "):].split("=") for line in out.splitlines()
+                       if line.startswith("# summary "))
+        assert float(summary["max_abs_dev_duda"]) == max(deviations)
+        assert float(summary["rms_dev_duda"]) == pytest.approx(expected, rel=1e-14)
 
     @pytest.mark.parametrize("eps, methods", [(0.1, "qss"), (0.01, "small-time,blended"),
                                               (0.1, "qss,intuitive,duda")])

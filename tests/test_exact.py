@@ -307,6 +307,13 @@ class TestExactCurve:
         assert np.all(curve.radii == 1.0)
         assert len(curve) == 10
 
+    def test_static_curve_up_to_the_largest_float(self):
+        # linspace's last step overflows before it is set to t_max: no warning escapes
+        t_max = 1.7976931348623157e308
+        curve = exact_curve(0.0, 4, t_max)
+        assert curve.times[0] == 0.0 and curve.times[-1] == t_max
+        assert np.all(np.diff(curve.times) > 0) and np.all(curve.radii == 1.0)
+
     @pytest.mark.parametrize("eps", [0.0, -1e-320])
     def test_curve_of_ones_is_labelled_uniform(self, eps):
         # no growth, or growth that rounds away: times are linspace(0, t_max, n)

@@ -167,16 +167,10 @@ class TestDimensionlessProperties:
         with pytest.raises(DomainError):
             problem.extinction_parameter
 
-    def test_inconsistent_regime_rejected(self):
-        from spherediss import DimensionlessProblem
-
-        with pytest.raises(DomainError):
-            DimensionlessProblem(0.5, Regime.GROWTH, 1.0, 1.0)
-
     def test_critical_value_has_no_branch_exponent(self):
         from spherediss import DimensionlessProblem
 
-        problem = DimensionlessProblem(2.0, Regime.CRITICAL, 1.0, 1.0)
+        problem = DimensionlessProblem(2.0, 1.0, 1.0)
         assert problem.extinction_parameter == 0.0
         with pytest.raises(DomainError):
             problem.branch_exponent

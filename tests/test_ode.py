@@ -42,9 +42,10 @@ class TestDissolution:
         assert np.all(np.diff(run.curve.radii) < 0)
 
     def test_early_stop_with_t_end(self):
+        # a t_end before t0 stops nothing: the run still ends at R = 0
         run = integrate_radius(0.1, t_end=1.0)
-        assert run.dissolution_time is None
-        assert run.t_end == pytest.approx(1.0, rel=1e-12)
+        assert run.dissolution_time == run.t_end == pytest.approx(2.6971, abs=1e-4)
+        assert run.radius_at(2.0) == integrate_radius(0.1).radius_at(2.0)
 
     def test_radius_negligible_at_extinction(self):
         run = integrate_radius(0.1)
@@ -58,6 +59,33 @@ class TestDissolution:
         assert run.t_end == run.dissolution_time == run.curve.times[-1]
         assert run.radius_at(run.t_end) == run.curve.radii[-1] == 0.0
         assert run.radius_at(np.array([run.t_end]))[0] == run.curve.radii[-1]
+
+
+class TestOneEndPerRun:
+    @pytest.mark.parametrize("eps", [0.01, 0.1, 1.5, 5.0])
+    def test_dissolution_run_does_not_depend_on_t_end(self, eps):
+        free = integrate_radius(eps)
+        t0 = free.dissolution_time
+        times = np.linspace(0.0, 2.0 * t0, 257)
+        for t_end in (0.5 * t0, t0, 2.0 * t0):
+            run = integrate_radius(eps, t_end=t_end)
+            assert np.array_equal(run.curve.times, free.curve.times)
+            assert np.array_equal(run.curve.radii, free.curve.radii)
+            assert run.curve.metadata == free.curve.metadata
+            assert run.t_end == free.t_end == t0
+            assert np.array_equal(run.radius_at(times), free.radius_at(times))
+
+    @pytest.mark.parametrize("eps, t_end", [(-0.2, 40.0), (0.0, 5.0), (-1e3, 1e-250)])
+    def test_growth_ends_at_its_last_time(self, eps, t_end):
+        # t_end is the curve's last time; a time past it is refused, however close
+        run = integrate_radius(eps, t_end=t_end)
+        assert run.t_end == run.curve.times[-1] == pytest.approx(t_end, rel=1e-15)
+        assert run.radius_at(run.t_end) == run.curve.radii[-1]
+        past = run.t_end * (1.0 + 1e-13)
+        with pytest.raises(DomainError, match="outside the integrated span"):
+            run.radius_at(past)
+        with pytest.raises(DomainError, match="outside the integrated span"):
+            run.radius_at(np.array([run.t_end, past]))
 
 
 class TestAcceptedRange:
@@ -149,14 +177,14 @@ class TestErrorPaths:
         assert integrate_radius(1e149).dissolution_time is not None
 
     def test_query_outside_span(self):
-        run = integrate_radius(0.1, t_end=1.0)
+        run = integrate_radius(-0.1, t_end=1.0)
         with pytest.raises(DomainError):
             run.radius_at(2.0)
         with pytest.raises(DomainError):
             run.radius_at(-1.0)
 
     @pytest.mark.parametrize("eps", [0.007937005259840998, 0.1639, 0.5])
-    def test_dissolved_run_is_zero_at_and_after_the_exact_t0(self, eps):
+    def test_dissolved_run_is_zero_at_and_after_its_own_t0(self, eps):
         # at and after the run's own t0, which lies within 1e-8 of the exact one
         run = integrate_radius(eps)
         t0 = run.dissolution_time
@@ -203,8 +231,7 @@ class TestArrayQueries:
         times = np.concatenate([
             np.linspace(0.0, run.t_end, 257),
             run.curve.times,
-            [run.t_end * (1.0 + 1e-13)],
-            [run.dissolution_time] if run.dissolution_time is not None else [],
+            [run.t_end * (1.0 + 1e-13)] if run.dissolution_time is not None else [],
         ])
         radii = run.radius_at(times)
         assert isinstance(radii, np.ndarray)
@@ -222,7 +249,7 @@ class TestArrayQueries:
 
     @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, 2.0])
     def test_same_domain_errors_as_scalar(self, bad):
-        run = integrate_radius(0.1, t_end=1.0)
+        run = integrate_radius(-0.1, t_end=1.0)
         with pytest.raises(DomainError) as scalar:
             run.radius_at(bad)
         with pytest.raises(DomainError) as array:
