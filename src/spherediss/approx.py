@@ -17,20 +17,19 @@ For eps > 0 qss, intuitive and duda refuse a time past their t0, while
 small-time and blended clamp the radius to 0 there: with a
 ``ClampedRadiusWarning`` for a float, silently for an array.  Each t0
 formula is written once, in ``_T0_DISPATCH``; times and t0s follow the
-query contract of ``curves``.
+query contract of ``curves``.  The blended t0 is one bisection between the
+duda and intuitive t0s, and no radius query needs it.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 from . import exact
 from .curves import (
     FLOAT_OPS,
     MethodId,
     RadiusCurve,
-    array_ops,
     bisect,
     check_epsilon,
     check_grid,
@@ -43,29 +42,26 @@ from .errors import DomainError, EpsilonRangeError, warn_clamped
 
 FIT_RANGE = (-0.5, 0.5)
 
-#: Resolution of the sign-change scan used to locate the blended formula's
-#: first radicand zero (the scan is uniform in sqrt(t)).
-_BLEND_SCAN_POINTS = 4096
 _BLEND_T0_REL_TOL = 1e-12
 
 
 def _qss(eps, t, xp):
-    return xp.sqrt(xp.maximum(1.0 - 2.0 * eps * t, 0.0))
+    return xp.sqrt(xp.maximum(1.0 - 2.0 * (eps * t), 0.0))
 
 
 def _intuitive(eps, t, xp):
     # unclamped: the blended radicand squares it
-    return _qss(eps, t, xp) - 2.0 * eps * xp.sqrt(t)
+    return _qss(eps, t, xp) - 2.0 * (eps * xp.sqrt(t))
 
 
 def _duda_sq(eps, t, xp):
-    return 1.0 - 2.0 * eps * (2.0 * xp.sqrt(t) + t)
+    return 1.0 - 2.0 * (eps * (2.0 * xp.sqrt(t) + t))
 
 
 #: R(eps, t) of the four unweighted formulas, for floats (FLOAT_OPS) or arrays (array_ops()).
 _FORMULAS = {
     MethodId.QSS: _qss,
-    MethodId.SMALL_TIME: lambda eps, t, xp: xp.maximum(1.0 - 2.0 * eps * xp.sqrt(t), 0.0),
+    MethodId.SMALL_TIME: lambda eps, t, xp: xp.maximum(1.0 - 2.0 * (eps * xp.sqrt(t)), 0.0),
     MethodId.INTUITIVE: lambda eps, t, xp: xp.maximum(_intuitive(eps, t, xp), 0.0),
     MethodId.DUDA_VRENTAS: lambda eps, t, xp: xp.sqrt(xp.maximum(_duda_sq(eps, t, xp), 0.0)),
 }
@@ -129,32 +125,30 @@ def _blend_radicand(eps, alpha, t, xp=FLOAT_OPS):
     return alpha * _duda_sq(eps, t, xp) + (1.0 - alpha) * intuitive * intuitive
 
 
-@lru_cache(maxsize=512)
 def blended_t0(eps: float) -> float:
-    """First zero of the blended radicand: the formula's dissolution time.
+    """First zero of the blended radicand alpha D + (1 - alpha) I^2, with D the duda
+    radicand and I the unclamped intuitive radius: the formula's dissolution time.
 
-    Located by a sign-change scan uniform in sqrt(t) over [0, 1/(2 eps)]
-    followed by bisection.
+    One bisection from the duda t0 t_d to the intuitive t0 t_i finds it for every
+    eps > 0 and weight 0 < alpha < 1: up to t_d, D >= 0 and I > 0; from t_d to t_i
+    D and I^2 decrease; at t_i the radicand is alpha D = 4 alpha eps sqrt(t_i)
+    (eps sqrt(t_i) - 1) < 0.  Below eps of about 4e-34 the duda t0 rounds to
+    t_i or above it, so the bracket starts at the smaller: t0 is in (0, 1/(2 eps)].
     """
-    t_cap = dissolution_time(eps, lambda e: 0.5 / e, "blended")
+    t_hi = dissolution_time(eps, _T0_DISPATCH[MethodId.INTUITIVE], "blended")
     alpha = blend_alpha(eps)
-    import numpy as np
-    roots = np.linspace(0.0, math.sqrt(t_cap), _BLEND_SCAN_POINTS + 1)
-    crossed = np.flatnonzero(_blend_radicand(eps, alpha, roots[1:] ** 2, array_ops()) <= 0.0)
-    if crossed.size == 0:
-        raise DomainError("epsilon", f"blended radicand has no zero below t={t_cap:g}")
-    lo, hi = bisect(lambda t: _blend_radicand(eps, alpha, t) > 0.0,
-                    roots[crossed[0]] ** 2, roots[crossed[0] + 1] ** 2,
-                    _BLEND_T0_REL_TOL * max(1.0, t_cap))
-    return 0.5 * (lo + hi)
+    t_lo = min(_T0_DISPATCH[MethodId.DUDA_VRENTAS](eps), t_hi)
+    lo, hi = bisect(lambda t: _blend_radicand(eps, alpha, t) > 0.0, t_lo, t_hi,
+                    _BLEND_T0_REL_TOL * max(1.0, 0.5 / eps))
+    return 0.5 * lo + 0.5 * hi  # lo + hi overflows for eps below about 5.6e-309
 
 
 def blended_radius(eps: float, t: float) -> float:
     """Weighted combination of the two explicit closed forms.
 
-    For eps > 0 the radius is clamped to 0 from the first radicand zero
-    onwards (the radicand can become positive again later, which has no
-    physical meaning past complete dissolution).
+    For eps > 0 the radius is 0 from the first radicand zero on: the radicand
+    is <= 0 up to the intuitive t0, and past it, where the radicand can turn
+    positive again, after complete dissolution, the radius is clamped to 0.
     """
     return _radius(MethodId.BLENDED, eps, t)
 
@@ -195,14 +189,16 @@ def _radius(method: MethodId, eps: float, t, param: str = "t"):
         check_epsilon(eps)
     xp, t, _, last = query_times(t)
     if blended:
-        past = eps > 0 and t >= blended_t0(eps)
-        if xp is FLOAT_OPS and past:
-            warn_clamped("blended", t)
+        # the radicand is <= 0 from the blended t0 to the intuitive t0: clamp from there
+        t_clamp = _T0_DISPATCH[MethodId.INTUITIVE](eps) if eps > 0 else math.inf
 
         def formula(eps, t, xp):
-            return xp.where(past, 0.0, xp.sqrt(xp.maximum(_blend_radicand(eps, alpha, t, xp), 0.0)))
+            radicand = _blend_radicand(eps, alpha, t, xp)
+            if xp is FLOAT_OPS and (t >= t_clamp or radicand < 0.0):
+                warn_clamped("blended", t)
+            return xp.where(t >= t_clamp, 0.0, xp.sqrt(xp.maximum(radicand, 0.0)))
     elif method is MethodId.SMALL_TIME:
-        if xp is FLOAT_OPS and 2.0 * eps * math.sqrt(t) > 1.0:
+        if xp is FLOAT_OPS and 2.0 * (eps * math.sqrt(t)) > 1.0:
             warn_clamped("small-time", t)
     elif eps > 0:  # the raw t0: infinite where it overflows, and then never passed
         check_not_past(last, _T0_DISPATCH[method](eps), method.value)

@@ -85,7 +85,10 @@ class _Branch(NamedTuple):
     curve: Callable
 
     def time(self, g, xp=FLOAT_OPS):
-        return xp.exp(self.curve(g, xp)[0]) / self.scale
+        log_st = self.curve(g, xp)[0]
+        # where scale * t overflows, the scale leaves through the exponent
+        big = log_st > math.log(sys.float_info.max)
+        return xp.exp(log_st - big * math.log(self.scale)) / xp.where(big, 1.0, self.scale)
 
     def radius(self, g, t, xp=FLOAT_OPS):
         r = (self.a * g + self.b) * xp.sqrt(t)
@@ -319,11 +322,8 @@ def exact_curve(eps: float, n: int = 256, t_max: float | None = None) -> RadiusC
     # descending offset <=> ascending time
     offsets = np.sort(offsets)[::-1]
     xp = array_ops()
-    log_st = branch.curve(offsets, xp)[0]
-    # as ``branch.time``, but where scale * t overflows the scale leaves through the exponent
-    big = log_st > math.log(sys.float_info.max)
     with np.errstate(over="ignore"):
-        times = np.exp(log_st - big * math.log(branch.scale)) / np.where(big, 1.0, branch.scale)
+        times = branch.time(offsets, xp)
     if times[-1] == math.inf:  # rounding carried a t_max next to the largest float past it
         times[-1] = t_end
     # where R rounds to 1, 1 itself, as ``radius_at`` answers
@@ -348,7 +348,7 @@ def concentration_profile(radius: float, t: float, r: float) -> float:
         raise DomainError("t", f"must be positive, got {t!r}")
     if r < radius:
         raise DomainError("r", f"position {r!r} lies inside the particle (radius {radius!r})")
-    x = (r - radius) * math.sqrt(math.pi / (4.0 * t))
+    x = (r - radius) * (0.5 * math.sqrt(math.pi)) / math.sqrt(t)  # pi / (4 t) may overflow
     if x > 6.0:
         return 0.0
     return (radius / r) * math.erfc(x)

@@ -153,6 +153,17 @@ class TestBlendedRadius:
         with pytest.warns(ClampedRadiusWarning):
             assert blended_radius(0.5, 0.9) == 0.0
 
+    def test_blended_t0_lies_between_the_duda_and_intuitive_t0s(self):
+        rng = np.random.default_rng(28)
+        for eps in (10.0 ** rng.uniform(math.log10(3e-309), math.log10(0.5), 2000)).tolist():
+            t0, t_duda, t_intuitive = blended_t0(eps), duda_t0(eps), intuitive_t0(eps)
+            assert type(t0) is float
+            assert 0.0 < min(t_duda, t_intuitive) <= t0 <= t_intuitive <= 0.5 / eps, eps
+
+    def test_tiny_epsilon_is_answered(self):
+        assert blended_radius(1e-35, 1.0) == pytest.approx(1.0, rel=1e-15)
+        assert blended_radius(1e-35, 0.5 * blended_t0(1e-35)) == pytest.approx(math.sqrt(0.5))
+
     def test_blended_t0_close_to_exact(self):
         for eps in (0.01, 0.1, 0.5):
             assert blended_t0(eps) == pytest.approx(time_to_dissolution(eps), rel=0.02)
@@ -355,8 +366,19 @@ OVERFLOWS = [(qss_radius, MethodId.QSS, -1e300, 1e300),
              (blended_radius, MethodId.BLENDED, -0.5, 1.7e308)]
 
 
+#: A huge |eps| with a time that keeps eps t finite: R = 1 at t = 0, and finite growth.
+HUGE_EPSILON_POINTS = [(1e308, 0.0), (-1e308, 1e-300)]
+
+
 class TestNonFiniteRadius:
     """A radius that overflows is refused, for a float and an array alike."""
+
+    @pytest.mark.parametrize("function, method", [case[:2] for case in OVERFLOWS[:4]])
+    @pytest.mark.parametrize("eps, t", HUGE_EPSILON_POINTS)
+    def test_huge_epsilon_alone_does_not_overflow(self, function, method, eps, t):
+        radius = function(eps, t)
+        assert math.isfinite(radius) and (radius == 1.0 if t == 0.0 else radius > 1.0)
+        assert approx_radius(method, eps, np.array([t])).tolist() == [radius]
 
     @pytest.mark.parametrize("function, method, eps, t", OVERFLOWS)
     def test_float_and_array_refuse_it(self, function, method, eps, t):

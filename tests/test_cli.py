@@ -79,6 +79,13 @@ class TestCurve:
             _, rows = parse_csv(out)
             assert len(rows) == 16
 
+    def test_blended_at_a_tiny_epsilon(self, capsys):
+        code, out, err = run_cli(capsys, "curve", "--epsilon", "1e-35", "--method", "blended",
+                                 "--samples", "4")
+        assert code == 0, err
+        _, rows = parse_csv(out)
+        assert float(rows[0][1]) == 1.0 and float(rows[-1][1]) == 0.0
+
     def test_unknown_method(self, capsys):
         code, _, err = run_cli(capsys, "curve", "--epsilon", "0.1", "--method", "magic")
         assert code == 3
@@ -669,7 +676,8 @@ class TestLazyImports:
 import spherediss as sd
 sd.radius_at(0.1, 1), sd.radius_at(-0.1, 2.5), sd.time_to_dissolution(0.1)
 sd.approx_radius(sd.MethodId.QSS, 0.1, 1), sd.approx_radius(sd.MethodId.DUDA_VRENTAS, 0.1, 0.5)
-sd.approx_t0(sd.MethodId.INTUITIVE, 0.1)"""
+sd.approx_t0(sd.MethodId.INTUITIVE, 0.1)
+sd.blended_radius(0.1, 1.0), sd.approx_t0(sd.MethodId.BLENDED, 0.1)"""
         assert self.loaded_after(code, ("numpy",)) == "[]"
 
     @pytest.mark.parametrize("argv", [

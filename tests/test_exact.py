@@ -42,6 +42,8 @@ from spherediss.model import classify_regime
 
 # erfc(sqrt(pi)) to 20 digits, computed independently with mpmath
 ERFC_SQRT_PI = 0.012188882184802886892
+# the profile at radius 1e-155, t = 1e-310, r = 2e-155 (those floats) to 20 digits, by mpmath
+PROFILE_AT_SUBNORMAL_T = 0.10504570272196828619
 
 
 class TestDissolutionBranch:
@@ -463,8 +465,13 @@ class TestConcurrentUse:
 
 class TestConcentrationProfile:
     def test_surface_value(self):
-        for radius, t in [(1.0, 1.0), (0.3, 17.0), (2.0, 0.01)]:
+        for radius, t in [(1.0, 1.0), (0.3, 17.0), (2.0, 0.01), (1.0, 5e-324)]:
             assert concentration_profile(radius, t, radius) == 1.0
+
+    def test_near_the_surface_at_a_subnormal_time(self):
+        # pi / (4 t) overflows here, which must not reach the erfc argument
+        value = concentration_profile(1e-155, 1e-310, 2e-155)
+        assert value == pytest.approx(PROFILE_AT_SUBNORMAL_T, rel=1e-14)
 
     def test_long_time_steady_profile(self):
         assert abs(concentration_profile(1.0, 1e8, 2.0) - 0.5) < 1e-3
