@@ -140,7 +140,7 @@ def blended_t0(eps: float) -> float:
     t_lo = min(_T0_DISPATCH[MethodId.DUDA_VRENTAS](eps), t_hi)
     lo, hi = bisect(lambda t: _blend_radicand(eps, alpha, t) > 0.0, t_lo, t_hi,
                     _BLEND_T0_REL_TOL * max(1.0, 0.5 / eps))
-    return 0.5 * lo + 0.5 * hi  # lo + hi overflows for eps below about 5.6e-309
+    return 0.5 * lo + 0.5 * hi
 
 
 def blended_radius(eps: float, t: float) -> float:
@@ -236,8 +236,7 @@ def approx_curve(
     """
     import numpy as np
     check_grid(eps, n, t_max)
-    t_end = min(approx_t0(method, eps), t_max or math.inf) if eps > 0 else t_max
-    check_span(t_end, t_max)
+    t_end = check_span(approx_t0(method, eps) if eps > 0 else math.inf, t_max)
     times = np.linspace(0.0, math.sqrt(t_end), n) ** 2
     return RadiusCurve(method, eps, times, _radius(method, eps, times, "t_max"),
                        {"samples": n, "t_max": t_max})

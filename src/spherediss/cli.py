@@ -124,8 +124,7 @@ def _method_curve(method: MethodId, eps: float, n: int, t_max: float | None) -> 
         from . import ode
         check_grid(eps, n, t_max)
         run = ode.integrate_radius(eps, t_end=t_max)
-        t_end = min(run.t_end, t_max) if t_max is not None else run.t_end
-        check_span(t_end, t_max)
+        t_end = check_span(run.dissolution_time or math.inf, t_max)
         times = np.linspace(0.0, math.sqrt(t_end), n) ** 2
         return RadiusCurve(method, eps, times, run.radius_at(times), {"samples": n, "t_max": t_max})
     if method is MethodId.PDE_REFERENCE:
@@ -169,6 +168,20 @@ def _cmd_t0_table(args) -> None:
                        "t0_intuitive", "rel_err_intuitive_pct"], data)
 
 
+def _deviation(deviation) -> tuple[float, float]:
+    """Max-abs and rms of absolute deviations, nan for none."""
+    import numpy as np
+    deviation = np.asarray(deviation)
+    if not deviation.size:
+        return math.nan, math.nan
+    top = float(np.max(deviation))
+    with np.errstate(over="ignore"):
+        rms = float(np.sqrt(np.mean(deviation**2)))
+    if math.isinf(rms):  # the squares overflow: scale them by the largest deviation
+        rms = top * float(np.sqrt(np.mean((deviation / top) ** 2)))
+    return top, rms
+
+
 def _cmd_compare(args) -> None:
     import numpy as np
     eps = args.epsilon
@@ -180,14 +193,11 @@ def _cmd_compare(args) -> None:
 
     # the grid ends at --t-max or at the earliest dissolution time, whichever comes first;
     # the exact column is always filled, so the exact t0 is one of them
-    ends = [] if args.t_max is None else [args.t_max]
+    t0 = math.inf
     if eps > 0:
-        ends += [approx.approx_t0(MethodId.EXACT_QS, eps)] + [
-            approx.approx_t0(method, eps) for method in methods
-            if method not in (MethodId.ODE_ORACLE, MethodId.PDE_REFERENCE)
-        ]
-    t_end = min(ends)
-    check_span(t_end, args.t_max)
+        t0 = min(approx.approx_t0(method, eps) for method in [MethodId.EXACT_QS, *methods]
+                 if method not in (MethodId.ODE_ORACLE, MethodId.PDE_REFERENCE))
+    t_end = check_span(t0, args.t_max)
 
     times = np.linspace(math.sqrt(t_end) / n, math.sqrt(t_end), n) ** 2
     exact_values = exact.radius_at(eps, times)
@@ -213,14 +223,8 @@ def _cmd_compare(args) -> None:
     summary = {}
     for name, values in columns.items():
         valid = np.isfinite(values)
-        deviation = np.abs(values[valid] - exact_values[valid])
-        top = float(np.max(deviation)) if deviation.size else math.nan
-        with np.errstate(over="ignore"):
-            rms = float(np.sqrt(np.mean(deviation**2))) if deviation.size else math.nan
-        if math.isinf(rms):  # the squares overflow: scale them by the largest deviation
-            rms = top * float(np.sqrt(np.mean((deviation / top) ** 2)))
-        summary[f"max_abs_dev_{name}"] = top
-        summary[f"rms_dev_{name}"] = rms
+        summary[f"max_abs_dev_{name}"], summary[f"rms_dev_{name}"] = _deviation(
+            np.abs(values[valid] - exact_values[valid]))
 
     meta = _base_meta(epsilon=eps, methods=",".join(m.value for m in methods), samples=n)
     header = ["t"] + [m.value for m in methods]
@@ -230,7 +234,6 @@ def _cmd_compare(args) -> None:
 
 
 def _cmd_pde(args) -> None:
-    import numpy as np
     snapshot_times = _parse_float_list(args.snapshot_times, "snapshot-times") \
         if args.snapshot_times else []
     result = _pde_run(args.epsilon, args.rho_ratio, snapshot_times, nodes=args.nodes,
@@ -244,7 +247,7 @@ def _cmd_pde(args) -> None:
             deviations.append(abs(radius - exact.radius_at(args.epsilon, t)))
         except DomainError:
             break
-    deviations = np.asarray(deviations)
+    max_abs, rms = _deviation(deviations)
 
     summary = {
         "epsilon": args.epsilon,
@@ -257,10 +260,7 @@ def _cmd_pde(args) -> None:
         "final_time": float(curve.times[-1]),
         "final_radius": float(curve.radii[-1]),
         "stopped_on": result.stopped_on,
-        "error_vs_exact": {
-            "max_abs": float(np.max(deviations)) if deviations.size else None,
-            "rms": float(np.sqrt(np.mean(deviations**2))) if deviations.size else None,
-        },
+        "error_vs_exact": {"max_abs": max_abs, "rms": rms},
     }
 
     if args.output:

@@ -2,9 +2,12 @@
 the query contract every layer applies before it evaluates a formula, each
 rule written once: what a valid time is (``query_times``), how far past t0 a
 time may lie (``check_not_past``), when a dissolution time exists
-(``dissolution_time``) and when an end time is required (``check_end``).
-Every bisection for a level crossing (the blended t0, the moving-boundary solver's
-radius-floor stop, the PDE grid's stretching ratio) halves its bracket in ``bisect``.
+(``dissolution_time``), when an end time is required (``check_end``) and
+where a sampled curve ends (``check_span``: at t0 or ``t_max``, the earlier).
+Every bracket is halved at 0.5 lo + 0.5 hi, which cannot overflow: in
+``bisect``, which finds each level crossing (the blended t0, the moving-boundary
+solver's radius-floor stop, the PDE grid's stretching ratio), and where the
+Newton solvers of ``exact`` and ``ode`` fall back to bisection.
 """
 
 from __future__ import annotations
@@ -31,6 +34,9 @@ _MONOTONE_SLACK = 1e-7
 #: The earliest time a curve samples or a parametric point reports: a subnormal
 #: time below it keeps under 22 bits, too few for the radius.
 EARLIEST_SAMPLE = 2.0**-1052
+
+#: ``exact_curve`` starts ten decades before its end, at this fraction of it.
+START_FRACTION = 1e-10
 
 
 class MethodId(enum.Enum):
@@ -147,7 +153,7 @@ def bisect(above: Callable[[float], bool], lo: float, hi: float, xtol: float = 0
     """Halve [lo, hi] while it is wider than ``xtol`` and a float lies strictly
     inside; ``lo`` keeps the side where ``above`` holds.  Returns (lo, hi)."""
     while hi - lo > xtol:
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi
         if not lo < mid < hi:
             break
         if above(mid):
@@ -168,13 +174,16 @@ def check_grid(eps: float, n: int, t_max: float | None) -> None:
     check_end(eps, t_max, "t_max")
 
 
-def check_span(t_end: float, t_max: float | None) -> None:
-    """Refuse a curve ending at ``t_end`` (``t_max``, or the method's t0 if earlier)
-    less than ten decades after ``EARLIEST_SAMPLE``, where ``exact_curve`` starts."""
-    if t_end * 1e-10 < EARLIEST_SAMPLE:
+def check_span(t0: float, t_max: float | None) -> float:
+    """The end of a curve: the method's t0 (inf where nothing ends the history),
+    or ``t_max`` if that comes first.  Refuse an end whose ``START_FRACTION``,
+    where ``exact_curve`` starts, lies below ``EARLIEST_SAMPLE``."""
+    t_end = t0 if t_max is None else min(t0, t_max)
+    if t_end * START_FRACTION < EARLIEST_SAMPLE:
         raise DomainError("t_max" if t_end == t_max else "epsilon",
                           f"the curve ends at t={t_end!r}, too early to sample from ten "
                           f"decades before (below {EARLIEST_SAMPLE:.3g})")
+    return t_end
 
 
 @dataclass(frozen=True)

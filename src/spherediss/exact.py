@@ -39,6 +39,7 @@ from typing import Callable, NamedTuple
 from .curves import (
     EARLIEST_SAMPLE,
     FLOAT_OPS,
+    START_FRACTION,
     MethodId,
     RadiusCurve,
     array_ops,
@@ -174,7 +175,7 @@ def _offset_at(branch: _Branch, t: float) -> float:
         residual = log_st - target
         lo, hi = (x, hi) if residual > 0.0 else (lo, x)
         step = x + residual / slope
-        x = step if lo <= step <= hi else 0.5 * (lo + hi)
+        x = step if lo <= step <= hi else 0.5 * lo + 0.5 * hi
         if not (abs(residual) > tol and hi - lo > 1e-12):
             break
     return math.exp(x)
@@ -297,8 +298,8 @@ def exact_curve(eps: float, n: int = 256, t_max: float | None = None) -> RadiusC
     import numpy as np
     check_grid(eps, n, t_max)
     t0 = time_to_dissolution(eps) if eps > 0 else math.inf
-    t_end = min(t_max, t0) if t_max is not None else t0
-    check_span(t_end, t_max)
+    t_end = check_span(t0, t_max)
+    t_first = t_end * START_FRACTION
     # no change, or one that rounds away by the end: the curve of ones, uniform in t for
     # eps <= 0, and for dissolution geometric in t over the ten decades its grid would span
     ones = eps == 0 or _rounds_to_one(eps, t_end)
@@ -306,11 +307,11 @@ def exact_curve(eps: float, n: int = 256, t_max: float | None = None) -> RadiusC
                 "t_max": t_max}
     if ones:
         with np.errstate(over="ignore"):  # linspace may overflow its last point, set to t_max
-            times = np.geomspace(t_end * 1e-10, t_end, n) if eps > 0 else np.linspace(0.0, t_max, n)
+            times = np.geomspace(t_first, t_end, n) if eps > 0 else np.linspace(0.0, t_max, n)
         return RadiusCurve(MethodId.EXACT_QS, eps, times, np.ones(n), metadata)
 
     branch = _branch(eps)
-    g_first = _offset_at(branch, t_end * 1e-10)
+    g_first = _offset_at(branch, t_first)
     if t_end >= t0:
         # include the extinction endpoint exactly, then fan out geometrically
         offsets = np.concatenate(([0.0], np.geomspace(1e-6 * (1.0 + branch.lower), g_first, n - 1)))

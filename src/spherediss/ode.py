@@ -106,7 +106,7 @@ def _radius_lost(sigmas: list[float], rows: list[tuple], sigma: float, two_eps: 
         if s_new == s:
             return s
         if not lo < s_new < hi:
-            s_new = 0.5 * (lo + hi)
+            s_new = 0.5 * lo + 0.5 * hi
             if not lo < s_new < hi:
                 return s
         s = s_new

@@ -159,7 +159,7 @@ def _solve_stretch_ratio(span: float, cells: int, h0: float) -> float:
                                    f"first cell of {h0:.3g} and a stretching ratio up to "
                                    f"{steepest:.6g}; shorten the run or increase nodes")
     lo, hi = bisect(lambda q: total(q) < span, 1.0 + 1e-12, 4.0)
-    return 0.5 * (lo + hi)
+    return 0.5 * lo + 0.5 * hi
 
 
 def _build_grid(rhat_max: float, nodes: int, h0: float) -> tuple[np.ndarray, float]:

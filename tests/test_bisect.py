@@ -9,6 +9,8 @@ bracket replaced; it must agree with the scan within the bisection's tolerance.
 """
 
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +52,14 @@ class TestBisect:
         lo, hi = bisect(above, lo, hi, xtol)
         assert hi == math.nextafter(lo, math.inf)
         assert above(lo) and not above(hi)
+
+    def test_halves_a_bracket_whose_sum_overflows(self):
+        # lo + hi exceeds the largest float here; the midpoint must not
+        above = _budget(lambda x: x < 1.5e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lo, hi = bisect(above, 1e308, sys.float_info.max)
+        assert lo < 1.5e308 <= hi == math.nextafter(lo, math.inf)
 
     def test_stops_when_lo_equals_hi(self):
         above = _budget(lambda x: True)

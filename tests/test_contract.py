@@ -1,8 +1,9 @@
 """The query contract of ``spherediss.curves``, seen from every layer.
 
 Each rule (valid times, no time past t0, when a dissolution time exists,
-when an end time is required) is written once, so every layer that answers
-a query refuses the same input with the same one-line message.
+when an end time is required, where a sampled curve ends) is written once, so
+every layer that answers a query refuses the same input with the same one-line
+message, and every sampled curve ends at the same time.
 """
 
 import math
@@ -15,6 +16,7 @@ from spherediss import (
     MethodId,
     PastDissolutionError,
     PdeConfig,
+    approx_curve,
     approx_radius,
     approx_t0,
     blended_t0,
@@ -26,6 +28,7 @@ from spherediss import (
     solve_moving_boundary,
     time_to_dissolution,
 )
+from spherediss.cli import main
 
 EXPLICIT_METHODS = [MethodId.QSS, MethodId.SMALL_TIME, MethodId.INTUITIVE,
                     MethodId.DUDA_VRENTAS, MethodId.BLENDED]
@@ -135,3 +138,35 @@ class TestEndTimes:
                       lambda: radius_at(eps, 1.0), lambda: time_to_dissolution(eps),
                       lambda: approx_t0(MethodId.QSS, eps)]:
             assert _message(entry) == "epsilon: must be finite"
+
+    @pytest.mark.parametrize("eps,t_max", [(0.1, None), (0.1, 1.0), (0.1, 100.0), (-0.2, 2.0)])
+    def test_every_curve_ends_at_t0_or_t_max_whichever_comes_first(self, capsys, eps, t_max):
+        def end(t0):  # t0() is the method's dissolution time, asked for eps > 0 only
+            # each grid ends an ulp or two from t_end: at sqrt(t_end)^2 or at t(g) of its offset
+            return pytest.approx(min(t0() if eps > 0 else math.inf, t_max or math.inf), rel=1e-15)
+
+        assert exact_curve(eps, 8, t_max).times[-1] == end(lambda: time_to_dissolution(eps))
+        for method in EXPLICIT_METHODS:
+            curve = approx_curve(method, eps, 8, t_max)
+            assert curve.times[-1] == end(lambda: approx_t0(method, eps))
+        # compare ends at the earliest t0 of the exact and the explicit methods it shows
+        commands = {("curve", "--method", "ode"): lambda: integrate_radius(eps).dissolution_time,
+                    ("compare", "--methods", "exact,duda,ode"):
+                        lambda: min(time_to_dissolution(eps), duda_t0(eps))}
+        for argv, t0 in commands.items():
+            extra = [] if t_max is None else ["--t-max", repr(t_max)]
+            assert main([*argv, "--epsilon", repr(eps), "--samples", "8", "--raw", *extra]) == 0
+            rows = [line for line in capsys.readouterr().out.splitlines() if line[0] != "#"]
+            assert float(rows[-1].split(",")[0]) == end(t0)
+
+    @pytest.mark.parametrize("eps", [0.1, -0.2])
+    def test_too_early_an_end_is_refused_alike(self, capsys, eps):
+        expected = ("t_max: the curve ends at t=1e-310, too early to sample from ten decades "
+                    "before (below 2.07e-317)")
+        entries = [lambda: exact_curve(eps, 8, 1e-310)]
+        entries += [lambda m=m: approx_curve(m, eps, 8, 1e-310) for m in EXPLICIT_METHODS]
+        for entry in entries:
+            assert _message(entry) == expected
+        for argv in (["curve", "--method", "ode"], ["compare", "--methods", "exact,duda,ode"]):
+            assert main([*argv, "--epsilon", repr(eps), "--t-max", "1e-310"]) == 3
+            assert capsys.readouterr() == ("", expected + "\n")
