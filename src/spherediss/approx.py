@@ -34,9 +34,9 @@ from .curves import (
     check_epsilon,
     check_grid,
     check_not_past,
-    check_span,
     dissolution_time,
     query_times,
+    sqrt_t_curve,
 )
 from .errors import DomainError, EpsilonRangeError, warn_clamped
 
@@ -234,9 +234,6 @@ def approx_curve(
     For eps > 0 the grid spans [0, t0(method)] unless ``t_max`` cuts it
     short; for eps <= 0 a ``t_max`` is required.
     """
-    import numpy as np
     check_grid(eps, n, t_max)
-    t_end = check_span(approx_t0(method, eps) if eps > 0 else math.inf, t_max)
-    times = np.linspace(0.0, math.sqrt(t_end), n) ** 2
-    return RadiusCurve(method, eps, times, _radius(method, eps, times, "t_max"),
-                       {"samples": n, "t_max": t_max})
+    return sqrt_t_curve(method, eps, n, t_max, approx_t0(method, eps) if eps > 0 else math.inf,
+                        lambda times: _radius(method, eps, times, "t_max"))

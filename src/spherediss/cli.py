@@ -25,7 +25,7 @@ import sys
 from dataclasses import dataclass
 
 from . import __version__, approx, exact, model
-from .curves import MethodId, RadiusCurve, check_grid, check_span
+from .curves import MethodId, RadiusCurve, check_grid, check_span, sqrt_t_curve
 from .errors import DomainError, IntegrationError
 
 
@@ -120,13 +120,10 @@ def _method_curve(method: MethodId, eps: float, n: int, t_max: float | None) -> 
     if method is MethodId.EXACT_QS:
         return exact.exact_curve(eps, n, t_max)
     if method is MethodId.ODE_ORACLE:
-        import numpy as np
         from . import ode
         check_grid(eps, n, t_max)
         run = ode.integrate_radius(eps, t_end=t_max)
-        t_end = check_span(run.dissolution_time or math.inf, t_max)
-        times = np.linspace(0.0, math.sqrt(t_end), n) ** 2
-        return RadiusCurve(method, eps, times, run.radius_at(times), {"samples": n, "t_max": t_max})
+        return sqrt_t_curve(method, eps, n, t_max, run.dissolution_time or math.inf, run.radius_at)
     if method is MethodId.PDE_REFERENCE:
         raise DomainError("method", "use the 'pde' subcommand (needs --rho-ratio and a mesh)")
     return approx.approx_curve(method, eps, n, t_max)

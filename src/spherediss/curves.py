@@ -1,19 +1,20 @@
-"""Carriers for radius-versus-time data shared by every solution method, and
-the query contract every layer applies before it evaluates a formula, each
-rule written once: what a valid time is (``query_times``), how far past t0 a
-time may lie (``check_not_past``), when a dissolution time exists
-(``dissolution_time``), when an end time is required (``check_end``) and
-where a sampled curve ends (``check_span``: at t0 or ``t_max``, the earlier).
-Every bracket is halved at 0.5 lo + 0.5 hi, which cannot overflow: in
-``bisect``, which finds each level crossing (the blended t0, the moving-boundary
-solver's radius-floor stop, the PDE grid's stretching ratio), and where the
-Newton solvers of ``exact`` and ``ode`` fall back to bisection.
+"""Carriers for radius-versus-time data shared by every solution method, and the query
+contract every layer applies before it evaluates a formula, each rule written once:
+what a valid time is (``query_times``), how far past t0 a time may lie
+(``check_not_past``), when a dissolution time exists (``dissolution_time``), when an
+end time is required (``check_end``), where a sampled curve ends (``check_span``: at
+t0 or ``t_max``, the earlier) and how a curve uniform in sqrt(t) is sampled up to
+there (``sqrt_t_curve``).  Every bracket is halved at 0.5 lo + 0.5 hi, which cannot
+overflow: in ``bisect``, which finds each level crossing (the blended t0, the
+moving-boundary solver's radius-floor stop, the PDE grid's stretching ratio), and
+where the Newton solvers of ``exact`` and ``ode`` fall back to bisection.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cache
 from types import SimpleNamespace
@@ -167,7 +168,7 @@ def check_grid(eps: float, n: int, t_max: float | None) -> None:
     """Refuse a sampling request that cannot give a curve of ``n`` >= 2 points,
     or that asks for more than ``MAX_SAMPLES``, or whose end ``t_max`` fails
     ``check_end``."""
-    if not isinstance(n, int) or n < 2:
+    if not isinstance(n, numbers.Integral) or n < 2:
         raise DomainError("n", f"need at least 2 samples, got {n!r}")
     if n > MAX_SAMPLES:
         raise DomainError("n", f"at most {MAX_SAMPLES} samples, got {n}")
@@ -184,6 +185,14 @@ def check_span(t0: float, t_max: float | None) -> float:
                           f"the curve ends at t={t_end!r}, too early to sample from ten "
                           f"decades before (below {EARLIEST_SAMPLE:.3g})")
     return t_end
+
+
+def sqrt_t_curve(method: MethodId, eps: float, n: int, t_max: float | None, t0: float,
+                 radii: Callable) -> RadiusCurve:
+    """``n`` times uniform in sqrt(t) from 0 to ``check_span(t0, t_max)``, with ``radii(times)``."""
+    import numpy as np
+    times = np.linspace(0.0, math.sqrt(check_span(t0, t_max)), n) ** 2
+    return RadiusCurve(method, eps, times, radii(times), {"samples": n, "t_max": t_max})
 
 
 @dataclass(frozen=True)

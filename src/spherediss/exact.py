@@ -51,7 +51,8 @@ from .curves import (
     query_times,
 )
 from .errors import DomainError
-from .model import _GROWTH, Regime, branch_exponent, classify_regime
+from .model import (_CRITICAL, _DISSOLUTION, _GROWTH, _STATIC, Regime, branch_exponent,
+                    classify_regime)
 
 #: |R - 1| <= |eps| (t + 2 sqrt(t)); below this bound R rounds to 1.0.
 _ROUNDS_TO_ONE = 1e-17
@@ -103,26 +104,25 @@ def _branch(eps: float, regime: Regime | None = None) -> _Branch:
     found = classify_regime(eps)
     if regime is not None and found is not regime:
         raise DomainError("epsilon", f"{regime.value} branch does not cover epsilon={eps!r}")
-    # dispatch on eps, which classify_regime has mapped to ``found``: enum lookups are slow
-    if eps == 2.0:
+    if found is _CRITICAL:
         def critical(g, xp):
             s = g + 2.0
             return -4.0 / s - 2.0 * xp.log1p(0.5 * g), 2.0 * (g / s) ** 2
         # scale 4 makes t(0) = exp(-2) / 4 exact
         return _Branch(found, 0.0, 0.0, 4.0, 1.0, 0.0, 4.0, critical)
-    if eps == 0.0:
+    if found is _STATIC:
         raise DomainError("epsilon", "the static regime has no parametric branch")
     k = branch_exponent(eps)
     a = math.sqrt(abs(2.0 - eps)) * math.sqrt(abs(eps))
     scale = abs(eps * (2.0 - eps))
     if math.isinf(scale):
         raise DomainError("epsilon", f"|epsilon (2 - epsilon)| overflows at epsilon={eps!r}")
-    if eps < 0.0:
+    if found is _GROWTH:
         def growth(g, xp):
             s = g + 2.0
             return k * xp.log1p(2.0 / g) - xp.log(g) - xp.log(s), 2.0 * (1.0 + g + k) / s
         return _Branch(found, k, 1.0, scale, a, a - eps, math.inf, growth)
-    if eps < 2.0:
+    if found is _DISSOLUTION:
         def dissolution(g, xp):
             # 2 atan(p) - pi == -2 atan(1/p) for p > 0, evaluated without cancellation
             p = k + g
@@ -151,8 +151,7 @@ def _offset_at(branch: _Branch, t: float) -> float:
     curve, scale = branch.curve, branch.scale
     # log(scale t): from the product where it stays in range, else from a sum of logs
     log_scale, t_lo, t_hi = math.log(scale), 1e-300 / scale, 1e300 / scale
-    target = (math.log(scale * min(max(t, t_lo), t_hi)) if t_lo < t < t_hi
-              else log_scale + math.log(t))
+    target = math.log(scale * t) if t_lo < t < t_hi else log_scale + math.log(t)
     # log_st(g) <= -2 log g (+ 2 log 2 on the critical branch), tight as g -> inf
     large = -0.5 * target
     if branch.regime is _GROWTH:

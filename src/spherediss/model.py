@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .curves import MethodId, RadiusCurve
+from .curves import MethodId, RadiusCurve, check_epsilon
 from .errors import DomainError
 
 if TYPE_CHECKING:
@@ -49,8 +49,7 @@ def classify_regime(epsilon: float) -> Regime:
     near the boundary should use the neighbouring branches, which are
     continuous across it.
     """
-    if not math.isfinite(epsilon):
-        raise DomainError("epsilon", f"must be finite, got {epsilon!r}")
+    check_epsilon(epsilon)
     if epsilon == 0:
         return _STATIC
     if epsilon < 0:
@@ -65,8 +64,7 @@ def classify_regime(epsilon: float) -> Regime:
 def branch_exponent(epsilon: float) -> float:
     """sqrt(|epsilon / (2 - epsilon)|): the exponent constant k of the implicit
     time formula.  Undefined at the critical value 2."""
-    if not math.isfinite(epsilon):
-        raise DomainError("epsilon", "must be finite")
+    check_epsilon(epsilon)
     if epsilon == 2:
         raise DomainError("epsilon", "the critical branch has no exponent constant")
     return math.sqrt(abs(epsilon / (2.0 - epsilon)))
@@ -75,7 +73,7 @@ def branch_exponent(epsilon: float) -> float:
 def extinction_parameter(epsilon: float) -> float:
     """Curve parameter at which the radius reaches zero (k, or 0 at epsilon = 2);
     only dissolving regimes (epsilon > 0) have one."""
-    if not math.isfinite(epsilon) or epsilon <= 0:
+    if classify_regime(epsilon) in (_STATIC, _GROWTH):
         raise DomainError("epsilon", "the radius only reaches zero for epsilon > 0")
     return 0.0 if epsilon == 2 else branch_exponent(epsilon)
 
@@ -147,10 +145,10 @@ class DimensionlessProblem:
     length_scale: float
 
     def __post_init__(self):
-        if not math.isfinite(self.epsilon):
-            raise DomainError("epsilon", "must be finite")
-        if self.time_scale <= 0 or self.length_scale <= 0:
-            raise DomainError("time_scale", "scales must be positive")
+        check_epsilon(self.epsilon)
+        for name, value in (("time_scale", self.time_scale), ("length_scale", self.length_scale)):
+            if not 0.0 < value < math.inf:
+                raise DomainError(name, f"must be positive and finite, got {value!r}")
 
     @property
     def regime(self) -> Regime:
@@ -187,10 +185,9 @@ def nondimensionalize(scenario: PhysicalScenario) -> DimensionlessProblem:
     numerator = scenario.solubility - scenario.initial_concentration
     bulk_flow = 1.0 - scenario.solubility / scenario.medium_density
     epsilon = numerator / (math.pi * scenario.particle_density * bulk_flow)
-    time_scale = scenario.initial_radius**2 / (math.pi * scenario.diffusivity)
-    return DimensionlessProblem(
-        epsilon=epsilon, time_scale=time_scale, length_scale=scenario.initial_radius
-    )
+    r0 = scenario.initial_radius
+    time_scale = r0 * r0 / (math.pi * scenario.diffusivity)
+    return DimensionlessProblem(epsilon=epsilon, time_scale=time_scale, length_scale=r0)
 
 
 def redimensionalize(curve: RadiusCurve, scenario: PhysicalScenario) -> DimensionalCurve:

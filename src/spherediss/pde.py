@@ -43,6 +43,7 @@ from __future__ import annotations
 import functools
 import importlib.util
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
@@ -87,7 +88,7 @@ class PdeConfig:
     t_end: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.nodes, int) or self.nodes < 100:
+        if not isinstance(self.nodes, numbers.Integral) or self.nodes < 100:
             raise DomainError("nodes", f"need at least 100 nodes, got {self.nodes!r}")
         if not 0.0 < self.min_radius < 1.0:
             raise DomainError("min_radius", f"must lie in (0, 1), got {self.min_radius!r}")
@@ -148,8 +149,6 @@ def _solve_stretch_ratio(span: float, cells: int, h0: float) -> float:
         return 1.0  # uniform grid already resolves the surface
 
     def total(q: float) -> float:
-        if cells * math.log(q) > 500.0:
-            return math.inf
         return h0 * (q**cells - 1.0) / (q - 1.0)
 
     # q is at most 4, and q^cells at most exp(300), which the grid's powers must not pass
@@ -158,7 +157,7 @@ def _solve_stretch_ratio(span: float, cells: int, h0: float) -> float:
         raise DomainError("nodes", f"{cells + 1} nodes cannot span [1, {1 + span:.3g}] with a "
                                    f"first cell of {h0:.3g} and a stretching ratio up to "
                                    f"{steepest:.6g}; shorten the run or increase nodes")
-    lo, hi = bisect(lambda q: total(q) < span, 1.0 + 1e-12, 4.0)
+    lo, hi = bisect(lambda q: total(q) < span, 1.0 + 1e-12, steepest)
     return 0.5 * lo + 0.5 * hi
 
 
@@ -312,12 +311,12 @@ def _solute_drift(x: np.ndarray, y: np.ndarray, eps: float, beta: float) -> floa
     """(field solute - released solute) / released solute of the state y.
 
     The field equations conserve R^3 (1 - beta + 1/(pi eps)) / 3 + int_R^inf C r^2 dr,
-    so the particle has released (1 - R^3)(1 - beta + 1/(pi eps)) / 3; the
-    field integral is a trapezoid sum on the grid.  None when eps = 0.
+    so the particle has released (1 - R^3)(1 - beta + 1/(pi eps)) / 3; the field
+    integral is a trapezoid sum on the grid.  None while R = 1 (always at eps = 0).
     """
-    if eps == 0:
-        return None
     radius = float(y[-1])
+    if radius == 1.0:
+        return None
     field = radius**3 * np.trapezoid(np.concatenate(([1.0], y[:-1], [0.0])) * x, x)
     return field / ((1.0 - radius**3) * (1.0 - beta + 1.0 / (math.pi * eps)) / 3.0) - 1.0
 
@@ -406,6 +405,7 @@ def solve_moving_boundary(
     tolerances, the start time, why it stopped and the work are its metadata.
     """
     config = config or PdeConfig()
+    eps, density_ratio = float(eps), float(density_ratio)  # a numpy scalar's type would spread
     check_end(eps, config.t_end, "t_end")
     if not math.isfinite(density_ratio) or density_ratio <= 0:
         raise DomainError("density_ratio", f"must be positive, got {density_ratio!r}")

@@ -448,6 +448,17 @@ class TestNondim:
         assert code == 3
         assert err.startswith("solubility:")
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("d, r0", [("1e-9", "1e300"), ("1e-320", "1")])
+    def test_a_time_scale_past_the_floats_is_a_one_line_domain_error(self, capsys, d, r0, fmt):
+        # r0^2 overflows, or 1/(pi D) does: R0^2/(pi D) is not a float
+        code, out, err = run_cli(
+            capsys, "nondim", "--cs", "1", "--c0", "0", "--rho-p", "1200", "--rho-m", "1000",
+            "--d", d, "--r0", r0, "--format", fmt,
+        )
+        assert (code, out) == (3, "")
+        assert err == "time_scale: must be positive and finite, got inf\n"
+
 
 class TestPdeCommand:
     @pytest.mark.parametrize("argv, param", [

@@ -7,11 +7,13 @@ message, and every sampled curve ends at the same time.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from spherediss import (
+    DimensionlessProblem,
     DomainError,
     MethodId,
     PastDissolutionError,
@@ -20,10 +22,16 @@ from spherediss import (
     approx_radius,
     approx_t0,
     blended_t0,
+    branch_exponent,
+    classify_regime,
     duda_t0,
     exact_curve,
+    extinction_parameter,
     integrate_radius,
     intuitive_t0,
+    param_point_dissolution,
+    param_point_growth,
+    param_point_supercritical,
     radius_at,
     solve_moving_boundary,
     time_to_dissolution,
@@ -136,7 +144,12 @@ class TestEndTimes:
         for entry in [lambda: exact_curve(eps, 8, 1.0), lambda: integrate_radius(eps, 1.0),
                       lambda: solve_moving_boundary(eps, 1.0, PdeConfig(t_end=1.0)),
                       lambda: radius_at(eps, 1.0), lambda: time_to_dissolution(eps),
-                      lambda: approx_t0(MethodId.QSS, eps)]:
+                      lambda: approx_t0(MethodId.QSS, eps), lambda: classify_regime(eps),
+                      lambda: branch_exponent(eps), lambda: extinction_parameter(eps),
+                      lambda: param_point_dissolution(eps, 2.0),
+                      lambda: param_point_growth(eps, 2.0),
+                      lambda: param_point_supercritical(eps, 2.0),
+                      lambda: DimensionlessProblem(eps, 1.0, 1.0)]:
             assert _message(entry) == "epsilon: must be finite"
 
     @pytest.mark.parametrize("eps,t_max", [(0.1, None), (0.1, 1.0), (0.1, 100.0), (-0.2, 2.0)])
@@ -170,3 +183,34 @@ class TestEndTimes:
         for argv in (["curve", "--method", "ode"], ["compare", "--methods", "exact,duda,ode"]):
             assert main([*argv, "--epsilon", repr(eps), "--t-max", "1e-310"]) == 3
             assert capsys.readouterr() == ("", expected + "\n")
+
+
+class TestNumpyNumbers:
+    """A numpy scalar is taken as the Python float or int it holds."""
+
+    @staticmethod
+    def _same(make, numpy_value, python_value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = make(numpy_value)
+        expected = make(python_value)
+        assert got.times.tolist() == expected.times.tolist()
+        assert got.radii.tolist() == expected.radii.tolist()
+        assert got.metadata == expected.metadata
+
+    def test_a_numpy_epsilon_runs_as_its_float(self):
+        eps = np.float32(0.1)
+        self._same(lambda e: integrate_radius(e).curve, eps, float(eps))
+        self._same(lambda args: solve_moving_boundary(*args, PdeConfig(t_end=0.01)).curve,
+                   (eps, np.float32(0.5)), (float(eps), 0.5))
+
+    def test_a_numpy_count_runs_as_its_int(self):
+        self._same(lambda n: exact_curve(0.1, n), np.int64(4), 4)
+        self._same(lambda n: approx_curve(MethodId.QSS, 0.1, n), np.int64(4), 4)
+        self._same(lambda n: solve_moving_boundary(0.1, 1.0, PdeConfig(nodes=n, t_end=0.01)).curve,
+                   np.int64(150), 150)
+        # a count that is not an integer is still refused
+        assert _message(lambda: exact_curve(0.1, np.float64(4.0))) == (
+            "n: need at least 2 samples, got np.float64(4.0)")
+        assert _message(lambda: PdeConfig(nodes=np.float64(150.0))) == (
+            "nodes: need at least 100 nodes, got np.float64(150.0)")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spherediss import (
+    DimensionlessProblem,
     DomainError,
     MethodId,
     PhysicalScenario,
@@ -174,6 +175,18 @@ class TestDimensionlessProperties:
         assert problem.extinction_parameter == 0.0
         with pytest.raises(DomainError):
             problem.branch_exponent
+
+
+class TestDimensionlessScales:
+    @pytest.mark.parametrize("scales, param, bad", [
+        ((math.nan, 1.0), "time_scale", math.nan),
+        ((1.0, math.inf), "length_scale", math.inf),
+        ((1.0, 0.0), "length_scale", 0.0),
+    ])
+    def test_each_scale_must_be_positive_and_finite(self, scales, param, bad):
+        with pytest.raises(DomainError) as info:
+            DimensionlessProblem(0.1, *scales)
+        assert str(info.value) == f"{param}: must be positive and finite, got {bad!r}"
 
 
 class TestRedimensionalize:

@@ -523,6 +523,12 @@ class TestSoluteBalance:
         assert solve_moving_boundary(0.0, 1.0, PdeConfig(t_end=0.5)).curve.metadata[
             "solute_drift"] is None
 
+    @pytest.mark.parametrize("eps", [1e-300, -1e-300, 1e-17])
+    def test_no_drift_while_the_radius_stays_one(self, eps):
+        curve = solve_moving_boundary(eps, 1.0, PdeConfig(t_end=0.01)).curve
+        assert curve.radii[-1] == 1.0
+        assert curve.metadata["solute_drift"] is None
+
 
 class TestBdfStepper:
     @pytest.mark.parametrize("eps,ratio,t_end,times", [

@@ -15,12 +15,17 @@ bits.  No bytecode is written, so the tree is left as it was.
   the benchmark's ``cli`` inputs for seeds 0-19, each run in-process by
   ``spherediss.cli.main`` inside a fresh temporary directory, with
   ``{tmp}`` in an argv standing for that directory.
-* ``lib``: the ODE oracle and the blended fit at full precision.  Per
-  ``integrate_radius`` run at the oracle test's reference epsilons (to
-  t = 50 for growth), the curve's times, radii and metadata and
-  ``radius_at`` on 257 points spanning the run; per blended epsilon,
-  ``blended_t0`` (for dissolution) and ``approx_curve``'s times and radii
-  (to t = 50 for growth).
+* ``lib``: the library's results at full precision.  Per ``integrate_radius``
+  run at the oracle test's reference epsilons (to t = 50 for growth), the
+  curve's times, radii and metadata and ``radius_at`` on 257 points spanning
+  the run; per blended epsilon, ``blended_t0`` (for dissolution) and
+  ``approx_curve``'s times and radii (to t = 50 for growth).  Then the closed
+  forms: per epsilon of every regime, ``time_to_dissolution`` (for
+  dissolution) and the exact ``radius_at`` on a fixed grid of fractions of
+  t0 (of t = 50 for growth and static), each time as a float and the grid as
+  an array; ``exact_curve`` and the five explicit ``approx_curve`` at one
+  dissolving and one growth epsilon; each ``param_point_*`` at a few
+  parameters; and ``nondimensionalize`` of a few scenarios.
 """
 
 from __future__ import annotations
@@ -60,6 +65,16 @@ def pde_digest(workloads) -> str:
 ODE_EPSILONS = [1e-4, 1e-3, 0.1, 1.0, 2.0, 5.0, 100.0, 1e4, -1e-3, -0.1, -1.0, -10.0]
 BLENDED_EPSILONS = [sign * eps for eps in (1e-3, 0.05, 0.1, 0.3, 0.5) for sign in (1.0, -1.0)]
 GROWTH_END = 50.0
+EXACT_EPSILONS = [0.0, 1e-300, 1e-3, 0.1, 1.0, 1.999, 2.0, 2.001, 5.0, 100.0, 1e6,
+                  -1e-300, -1e-3, -0.1, -1.0, -10.0, -1e6]
+FRACTIONS = [0.0, 1e-300, 1e-12, 1e-6, 1e-3, 0.1, 0.5, 0.9, 0.999, 1.0 - 1e-9, 1.0]
+EXPLICIT = ["qss", "small-time", "intuitive", "duda", "blended"]
+PARAM_POINTS = [("dissolution", (0.1, 0.25)), ("dissolution", (0.1, 3.0)),
+                ("dissolution", (1.5, 1.8)), ("growth", (-0.1, 1.001)), ("growth", (-5.0, 40.0)),
+                ("supercritical", (5.0, 1.3)), ("supercritical", (5.0, 10.0)),
+                ("critical", (0.0,)), ("critical", (2.5,))]
+SCENARIOS = [(1.0, 0.0, 1200.0, 1000.0, 1e-9, 2e-6), (2.0, 5.0, 2500.0, 1000.0, 3e-10, 1e-4),
+             (1.0, 1.0, 1000.0, 1000.0, 1e-9, 1e-6), (900.0, 0.0, 1.0, 1000.0, 1e-12, 1e-3)]
 
 
 def lib_digest() -> str:
@@ -80,7 +95,32 @@ def lib_digest() -> str:
         curve = sd.approx_curve(sd.MethodId.BLENDED, eps, t_max=None if eps > 0 else GROWTH_END)
         sha.update(curve.times.tobytes())
         sha.update(curve.radii.tobytes())
+    closed_forms(sha)
     return sha.hexdigest()
+
+
+def closed_forms(sha) -> None:
+    """Hash the exact layer, the explicit formulas and the reduction to epsilon."""
+    import numpy as np
+    import spherediss as sd
+
+    for eps in EXACT_EPSILONS:
+        t0 = sd.time_to_dissolution(eps) if eps > 0 else GROWTH_END
+        times = [fraction * t0 for fraction in FRACTIONS]
+        sha.update(repr([t0] + [sd.radius_at(eps, t) for t in times]).encode())
+        sha.update(sd.radius_at(eps, np.array(times)).tobytes())
+    for eps in (0.1, -0.2):
+        t_max = None if eps > 0 else GROWTH_END
+        curves = [sd.exact_curve(eps, t_max=t_max)]
+        curves += [sd.approx_curve(sd.MethodId.from_string(name), eps, t_max=t_max)
+                   for name in EXPLICIT]
+        for curve in curves:
+            sha.update(curve.times.tobytes())
+            sha.update(curve.radii.tobytes())
+    for branch, args in PARAM_POINTS:
+        sha.update(repr(getattr(sd, f"param_point_{branch}")(*args)).encode())
+    for fields in SCENARIOS:
+        sha.update(repr(sd.nondimensionalize(sd.PhysicalScenario(*fields))).encode())
 
 
 def readme_commands(path: str) -> list[list[str]]:
