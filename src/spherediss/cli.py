@@ -14,19 +14,26 @@ from what ``pde``'s flags set.  Exit codes: 0 success, 2 argument error,
 ``--snapshot-prefix`` path that cannot be written is an argument error, and
 a solver that cannot finish its run is exit 3 with a one-line
 ``solver: message``.
+
+Each command imports only what it runs: ``invert``, ``t0-table``, ``nondim``
+and ``compare`` without ``pde`` run on floats and never load numpy
+(``compare`` samples and averages as numpy would, bit for bit); ``curve``
+samples on arrays, and ``pde``, or ``compare`` with it, loads the solver.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 
 from . import __version__, approx, exact, model
 from .curves import MethodId, RadiusCurve, check_grid, check_span, sqrt_t_curve
-from .errors import DomainError, IntegrationError
+from .errors import ClampedRadiusWarning, DomainError, IntegrationError
 
 
 def _pde_run(eps: float, rho_ratio: float, snapshot_times=(), **fields):
@@ -165,22 +172,31 @@ def _cmd_t0_table(args) -> None:
                        "t0_intuitive", "rel_err_intuitive_pct"], data)
 
 
-def _deviation(deviation) -> tuple[float, float]:
-    """Max-abs and rms of absolute deviations, nan for none."""
-    import numpy as np
-    deviation = np.asarray(deviation)
-    if not deviation.size:
+def _sum(values: list[float]) -> float:
+    """``np.sum`` of non-negative floats, bit for bit: numpy adds runs of up to 128 in
+    eight interleaved partial sums and the rest in order, and splits longer runs."""
+    n = len(values)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _sum(values[:half]) + _sum(values[half:])
+    end = n - n % 8  # 0 below 8 values, which numpy adds in order from 0
+    r = [functools.reduce(float.__add__, values[j:end:8], 0.0) for j in range(8)]
+    return functools.reduce(float.__add__, values[end:],
+                            ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
+
+
+def _deviation(deviation: list[float]) -> tuple[float, float]:
+    """Max-abs and rms of absolute deviations, nan for none; the mean is ``np.mean``'s."""
+    if not deviation:
         return math.nan, math.nan
-    top = float(np.max(deviation))
-    with np.errstate(over="ignore"):
-        rms = float(np.sqrt(np.mean(deviation**2)))
+    top = max(deviation)
+    rms = math.sqrt(_sum([d * d for d in deviation]) / len(deviation))
     if math.isinf(rms):  # the squares overflow: scale them by the largest deviation
-        rms = top * float(np.sqrt(np.mean((deviation / top) ** 2)))
+        rms = top * math.sqrt(_sum([(d / top) * (d / top) for d in deviation]) / len(deviation))
     return top, rms
 
 
 def _cmd_compare(args) -> None:
-    import numpy as np
     eps = args.epsilon
     methods = [_parse_method(name.strip()) for name in args.methods.split(",") if name.strip()]
     if not methods:
@@ -196,37 +212,40 @@ def _cmd_compare(args) -> None:
                  if method not in (MethodId.ODE_ORACLE, MethodId.PDE_REFERENCE))
     t_end = check_span(t0, args.t_max)
 
-    times = np.linspace(math.sqrt(t_end) / n, math.sqrt(t_end), n) ** 2
-    exact_values = exact.radius_at(eps, times)
+    # np.linspace(stop / n, stop, n) ** 2 on floats, and every column by float queries
+    start, stop = math.sqrt(t_end) / n, math.sqrt(t_end)
+    step = (stop - start) / (n - 1)
+    times = [x * x for x in [i * step + start for i in range(n - 1)] + [stop]]
+    exact_values = [exact.radius_at(eps, t) for t in times]
 
-    columns: dict[str, np.ndarray] = {}
+    columns: dict[str, list[float]] = {}
     for method in methods:
         if method is MethodId.EXACT_QS:
             values = exact_values
         elif method is MethodId.ODE_ORACLE:
             from . import ode
-            run = ode.integrate_radius(eps, t_end=float(times[-1]))
-            values = run.radius_at(times)
+            run = ode.integrate_radius(eps, t_end=times[-1])
+            values = [run.radius_at(t) for t in times]
         elif method is MethodId.PDE_REFERENCE:
-            result = _pde_run(eps, args.rho_ratio, t_end=float(times[-1]) * 1.0000001,
-                              min_radius=0.02)
-            pde_t, pde_r = result.curve.times, result.curve.radii
-            inside = (pde_t[0] <= times) & (times <= pde_t[-1])
-            values = np.where(inside, np.interp(times, pde_t, pde_r), np.nan)
-        else:
-            values = approx.approx_radius(method, eps, times)
+            import numpy as np
+            result = _pde_run(eps, args.rho_ratio, t_end=times[-1] * 1.0000001, min_radius=0.02)
+            pde_t, pde_r, grid = result.curve.times, result.curve.radii, np.array(times)
+            inside = (pde_t[0] <= grid) & (grid <= pde_t[-1])
+            values = np.where(inside, np.interp(grid, pde_t, pde_r), np.nan).tolist()
+        else:  # clamped silently past t0, as for an array of times
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ClampedRadiusWarning)
+                values = [approx.approx_radius(method, eps, t) for t in times]
         columns[method.value] = values
 
     summary = {}
     for name, values in columns.items():
-        valid = np.isfinite(values)
         summary[f"max_abs_dev_{name}"], summary[f"rms_dev_{name}"] = _deviation(
-            np.abs(values[valid] - exact_values[valid]))
+            [abs(v - e) for v, e in zip(values, exact_values) if math.isfinite(v)])
 
     meta = _base_meta(epsilon=eps, methods=",".join(m.value for m in methods), samples=n)
     header = ["t"] + [m.value for m in methods]
-    rows = [[times[i]] + [float(columns[m.value][i]) for m in methods]
-            for i in range(times.size)]
+    rows = [list(row) for row in zip(times, *(columns[m.value] for m in methods))]
     _emit(args, meta, header, rows, summary=summary)
 
 
@@ -239,7 +258,7 @@ def _cmd_pde(args) -> None:
 
     # deviation from the exact quasi-stationary radius at the sampled times
     deviations = []
-    for t, radius in zip(curve.times, curve.radii):
+    for t, radius in curve.samples:
         try:
             deviations.append(abs(radius - exact.radius_at(args.epsilon, t)))
         except DomainError:

@@ -60,6 +60,9 @@ _ROUNDS_TO_ONE = 1e-17
 #: The smallest offset whose 2/g, in the growth branch's time, stays finite.
 _SMALLEST_OFFSET = 2.0 / sys.float_info.max
 
+#: The log of the largest float, past which scale * t overflows.
+_LOG_MAX = math.log(sys.float_info.max)
+
 _NEWTON_MAX_ITER = 100
 _LN2, _LN3 = math.log(2.0), math.log(3.0)
 
@@ -88,8 +91,10 @@ class _Branch(NamedTuple):
 
     def time(self, g, xp=FLOAT_OPS):
         log_st = self.curve(g, xp)[0]
+        if xp is FLOAT_OPS and log_st <= _LOG_MAX:
+            return math.exp(log_st) / self.scale
         # where scale * t overflows, the scale leaves through the exponent
-        big = log_st > math.log(sys.float_info.max)
+        big = log_st > _LOG_MAX
         return xp.exp(log_st - big * math.log(self.scale)) / xp.where(big, 1.0, self.scale)
 
     def radius(self, g, t, xp=FLOAT_OPS):

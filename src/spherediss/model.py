@@ -194,7 +194,7 @@ def redimensionalize(curve: RadiusCurve, scenario: PhysicalScenario) -> Dimensio
     """Convert a dimensionless radius history back to seconds and metres.
 
     The curve must have been generated for the same driving-force parameter
-    that the scenario reduces to.
+    that the scenario reduces to, and its times and radii must stay finite in SI.
     """
     problem = nondimensionalize(scenario)
     mismatch = abs(curve.epsilon - problem.epsilon)
@@ -204,6 +204,11 @@ def redimensionalize(curve: RadiusCurve, scenario: PhysicalScenario) -> Dimensio
             f"curve epsilon {curve.epsilon!r} does not match the scenario's "
             f"{problem.epsilon!r} (|diff|={mismatch:.3g})",
         )
+    for name, largest, scale in (("time", float(curve.times[-1]), problem.time_scale),
+                                 ("length", float(curve.radii.max()), problem.length_scale)):
+        if largest * scale == math.inf:
+            raise DomainError("scenario", f"the curve's {name} {largest!r} overflows in SI "
+                                          f"units at {name}_scale={scale!r}")
     return DimensionalCurve(
         method=curve.method,
         epsilon=curve.epsilon,

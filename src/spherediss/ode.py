@@ -16,9 +16,9 @@ For small eps sigma rises in a square-root layer of width ~eps at s = 0, so
 the first step is at most 2 eps.  Stepping uses the vendored scalar DOP853 of
 ``_dop853`` (Hairer, Norsett & Wanner, "Solving ODEs I", sec. II.5) with
 scipy's step-size rules and 7th-order dense output, on plain floats, so the
-oracle never imports scipy.  The tolerances are module constants, read at
-call time.  The run's ``RadiusCurve`` is its one record; ``RadiusIntegration``
-adds the steps' interpolants and reads everything else from it.
+oracle imports neither scipy nor, until an array query, numpy.  The tolerances
+are module constants, read at call time.  The run's ``RadiusCurve``, of float
+lists, is its one record; ``RadiusIntegration`` adds the steps' interpolants.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from __future__ import annotations
 import bisect
 import math
 import sys
-
-import numpy as np
 
 from . import _dop853
 from .curves import FLOAT_OPS, MethodId, RadiusCurve, check_end, dissolution_time, query_times
@@ -49,13 +47,13 @@ _MAX_SCALED_RATE = math.sqrt(sys.float_info.max)
 
 
 class RadiusIntegration:
-    """Dense-output result of one oracle run: its ``curve``, whose last time
-    ``t_end`` ends the run, and the interpolants ``rows`` of its accepted steps
-    with their ``ends`` in tau (in sigma for eps > 0), led by the start 0."""
+    """Dense-output result of one oracle run: its ``curve``, whose ``last`` sample
+    (``t_end``, R) ends the run, and the interpolants ``rows`` of its accepted
+    steps with their ``ends`` in tau (in sigma for eps > 0), led by the start 0."""
 
-    def __init__(self, curve: RadiusCurve, ends: list[float], rows: list[tuple]):
+    def __init__(self, curve: RadiusCurve, last: tuple, ends: list[float], rows: list[tuple]):
         self.curve = curve
-        self.t_end = float(curve.times[-1])
+        self.t_end, self._last_radius = last
         self._ends = ends
         self._rows = rows
 
@@ -74,6 +72,7 @@ class RadiusIntegration:
         xp, t, _, _ = query_times(t)
         if xp is FLOAT_OPS:
             return self._radius(t)
+        import numpy as np
         return np.array([self._radius(x) for x in t.ravel().tolist()]).reshape(t.shape)
 
     def _radius(self, t: float) -> float:
@@ -88,7 +87,7 @@ class RadiusIntegration:
             row = self._rows[max(bisect.bisect_left(ends, tau) - 1, 0)]
             return math.sqrt(max(_dop853._interpolate(tau, *row), 0.0))
         if tau == ends[-1]:
-            return float(self.curve.radii[-1])
+            return self._last_radius
         raise DomainError("t", f"t={t!r} is outside the integrated span (<= {self.t_end:.6g})")
 
 
@@ -125,9 +124,9 @@ class _SquaredRadiusRate:
         # error test rejects, stay well defined
         return self.scale * (tau + math.sqrt(max(y, 0.0)))
 
-    def record(self, taus, ys):
-        """Times and radii at points (tau, y), floats or lists, as numpy values."""
-        return np.asarray(taus) ** 2, np.sqrt(np.maximum(np.asarray(ys), 0.0))
+    def sample(self, tau: float, y: float) -> tuple[float, float]:
+        """(t, R) at the point (tau, y)."""
+        return tau * tau, math.sqrt(max(y, 0.0))
 
 
 class _SigmaRate:
@@ -142,8 +141,9 @@ class _SigmaRate:
         flux = self.two_eps * (1.0 - s)
         return flux / (sigma + flux)
 
-    def record(self, s, sigmas):
-        return (np.asarray(sigmas) / self.two_eps) ** 2, 1.0 - np.asarray(s)
+    def sample(self, s: float, sigma: float) -> tuple[float, float]:
+        tau = sigma / self.two_eps
+        return tau * tau, 1.0 - s
 
 
 def integrate_radius(eps: float, t_end: float | None = None) -> RadiusIntegration:
@@ -171,20 +171,20 @@ def integrate_radius(eps: float, t_end: float | None = None) -> RadiusIntegratio
     xs, ys, rows, rejected = [x], [y], [], 0
     while x < x_end:
         if len(rows) >= MAX_STEPS:
-            raise IntegrationError(f"max_steps={MAX_STEPS} exceeded", *rate.record(x, y))
+            raise IntegrationError(f"max_steps={MAX_STEPS} exceeded", *rate.sample(x, y))
         step = _dop853.step(rate, x, y, f, h_abs, x_end, rtol, atol)
         if step is None:
             raise IntegrationError("step-size underflow: required step size is less than "
-                                   "spacing between numbers", *rate.record(x, y))
+                                   "spacing between numbers", *rate.sample(x, y))
         x, y, f, row, h_abs, step_rejected = step
         rejected += step_rejected
         rows.append(row)
         xs.append(x)
         ys.append(y)
 
-    times, radii = rate.record(xs, ys)
+    times, radii = map(list, zip(*map(rate.sample, xs, ys)))
     metadata = {"rel_tol": rtol, "abs_tol": atol,
-                "dissolution_time": float(times[-1]) if eps > 0 else None,
+                "dissolution_time": times[-1] if eps > 0 else None,
                 "steps": len(rows), "rejected": rejected, "nfev": rate.nfev}
     curve = RadiusCurve(MethodId.ODE_ORACLE, eps, times, radii, metadata)
-    return RadiusIntegration(curve, ys if eps > 0 else xs, rows)
+    return RadiusIntegration(curve, (times[-1], radii[-1]), ys if eps > 0 else xs, rows)

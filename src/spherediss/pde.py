@@ -312,13 +312,17 @@ def _solute_drift(x: np.ndarray, y: np.ndarray, eps: float, beta: float) -> floa
 
     The field equations conserve R^3 (1 - beta + 1/(pi eps)) / 3 + int_R^inf C r^2 dr,
     so the particle has released (1 - R^3)(1 - beta + 1/(pi eps)) / 3; the field
-    integral is a trapezoid sum on the grid.  None while R = 1 (always at eps = 0).
+    integral is a trapezoid sum on the grid.  None while R = 1 (always at eps = 0)
+    and where the particle term 1 - beta + 1/(pi eps) is zero, at eps = -1/(pi ratio).
     """
     radius = float(y[-1])
     if radius == 1.0:
         return None
+    particle = 1.0 - beta + 1.0 / (math.pi * eps)
+    if particle == 0.0:
+        return None
     field = radius**3 * np.trapezoid(np.concatenate(([1.0], y[:-1], [0.0])) * x, x)
-    return field / ((1.0 - radius**3) * (1.0 - beta + 1.0 / (math.pi * eps)) / 3.0) - 1.0
+    return field / ((1.0 - radius**3) * particle / 3.0) - 1.0
 
 
 def _start_radius(eps: float) -> float:

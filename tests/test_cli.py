@@ -4,10 +4,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import spherediss
-from spherediss.cli import main, t0_table
+from spherediss.cli import _deviation, main, t0_table
 
 
 def run_cli(capsys, *argv):
@@ -341,6 +342,51 @@ class TestCompare:
         code, out, err = run_cli(capsys, "compare", "--epsilon", "495", "--methods", "exact,pde")
         assert code == 3 and out == ""
         assert err.startswith("epsilon: must stay below 490 ") and err.count("\n") == 1
+
+
+class TestCompareOnFloats:
+    """``compare`` samples and summarizes on floats, bit for bit as numpy would:
+    its grid is ``np.linspace(...) ** 2``, its columns the array queries, and its
+    rms takes the mean in ``np.mean``'s pairwise order."""
+
+    @pytest.mark.parametrize("eps, t_max, n", [(0.1, None, 2), (0.1, None, 200), (0.3, 1.5, 129),
+                                               (-0.2, 40.0, 1000), (1e-3, None, 7)])
+    def test_grid_columns_and_summary_equal_numpy(self, capsys, eps, t_max, n):
+        names = ["exact", "small-time", "duda", "blended"]
+        argv = ["compare", f"--epsilon={eps}", "--methods", ",".join(names), "--samples", str(n),
+                "--format", "json"] + ([] if t_max is None else ["--t-max", str(t_max)])
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        payload = json.loads(out)
+        ends = [] if t_max is None else [t_max]
+        if eps > 0:
+            ends += [spherediss.approx_t0(spherediss.MethodId.from_string(name), eps)
+                     for name in names]
+        t_end = min(ends)
+        times = np.linspace(math.sqrt(t_end) / n, math.sqrt(t_end), n) ** 2
+        exact = spherediss.radius_at(eps, times)
+        columns = [list(column) for column in zip(*payload["data"])]
+        assert columns[0] == times.tolist()
+        assert columns[1] == exact.tolist()
+        for name, column in zip(names[1:], columns[2:]):
+            method = spherediss.MethodId.from_string(name)
+            assert column == spherediss.approx_radius(method, eps, times).tolist()
+            deviation = np.abs(np.asarray(column) - exact)
+            assert payload["summary"][f"max_abs_dev_{name}"] == float(deviation.max())
+            assert payload["summary"][f"rms_dev_{name}"] == float(np.sqrt(np.mean(deviation**2)))
+
+    def test_deviation_equals_numpy(self):
+        rng = np.random.default_rng(0)
+        for n in [*range(1, 300), 1000, 4097, 100_003]:
+            deviation = rng.random(n) * 10.0 ** rng.uniform(-10, 10, n)
+            expected = float(deviation.max()), float(np.sqrt(np.mean(deviation**2)))
+            assert _deviation(deviation.tolist()) == expected, n
+        # squares that overflow are scaled by the largest deviation first
+        deviation = rng.random(200) * 1e300
+        top = deviation.max()
+        expected = float(top), float(top * np.sqrt(np.mean((deviation / top) ** 2)))
+        assert _deviation(deviation.tolist()) == expected
+        assert all(math.isnan(value) for value in _deviation([]))
 
 
 class TestGridArguments:
@@ -731,6 +777,30 @@ else:
     raise AssertionError("unknown attribute resolved")
 """
         assert self.loaded_after(code, ("spherediss.pde",)) == "['spherediss.pde']"
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--epsilon", "0.1", "--methods", "exact,qss,duda,intuitive,ode",
+         "--samples", "9"],
+        ["compare", "--epsilon", "-0.2", "--methods", "exact,qss,blended", "--t-max", "40",
+         "--samples", "9", "--format", "json"],
+        ["compare", "--epsilon", "0.3", "--methods", "exact,small-time,blended",
+         "--samples", "9", "--raw"],
+    ], ids=["csv_with_ode", "growth_json_blended", "raw_clamped"])
+    def test_compare_without_pde_loads_neither_numpy_nor_scipy(self, argv):
+        assert self.loaded_after(self.command(argv), ("numpy", "scipy")) == "[]"
+
+    def test_compare_with_pde_loads_numpy(self):
+        # the control: the moving-boundary column is interpolated with numpy
+        argv = ["compare", "--epsilon", "0.1", "--methods", "exact,pde", "--samples", "4"]
+        assert self.loaded_after(self.command(argv), ("numpy",)) == "['numpy']"
+
+    def test_oracle_run_and_float_queries_load_no_numpy(self):
+        code = """import sys
+import spherediss as sd
+run = sd.integrate_radius(0.1)
+run.radius_at(1.0), run.radius_at(run.t_end), len(run.curve), list(run.curve.samples)
+sd.integrate_radius(-0.1, t_end=2.0).radius_at(1)"""
+        assert self.loaded_after(code, ("numpy", "scipy")) == "[]"
 
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "cli_golden.json")

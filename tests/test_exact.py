@@ -1,4 +1,5 @@
 import math
+import sys
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
@@ -603,6 +604,17 @@ def _times(eps, fractions, log_times):
     return 10.0 ** np.array(log_times)
 
 
+_LOG_MAX = math.log(sys.float_info.max)
+
+
+def _safe_time(branch, g):
+    """t(g) on floats in the overflow-safe form, where the scale leaves through the
+    exponent wherever scale * t overflows."""
+    log_st = branch.curve(g, math)[0]
+    big = log_st > _LOG_MAX
+    return math.exp(log_st - big * math.log(branch.scale)) / (1.0 if big else branch.scale)
+
+
 class TestBranchTableProperties:
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(eps=epsilons)
@@ -613,6 +625,25 @@ class TestBranchTableProperties:
         else:
             offsets = np.geomspace(1e-6, 1e6, 400)
         assert np.all(np.diff(branch.time(offsets, array_ops())) < 0)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(eps=epsilons)
+    def test_float_time_is_the_overflow_safe_form(self, eps):
+        # a float offset skips that form where scale * t stays finite, with the same bits
+        branch = _branch(eps)
+        offsets = np.geomspace(1e-6, 1e6, 61) * (math.sqrt(branch.curvature) if eps > 0 else 1.0)
+        offsets = ([0.0] if eps > 0 else []) + offsets.tolist()
+        assert [branch.time(g) for g in offsets] == [_safe_time(branch, g) for g in offsets]
+
+    @pytest.mark.parametrize("eps", [-1e6, -1e100])
+    def test_float_time_where_scale_times_t_overflows(self, eps):
+        # log(scale t) crosses log(float max) near g = 1e-154 on these growth branches
+        branch = _branch(eps)
+        offsets = np.geomspace(1e-156, 1e-152, 41).tolist()
+        assert branch.curve(offsets[0], math)[0] > _LOG_MAX > branch.curve(offsets[-1], math)[0]
+        times = [branch.time(g) for g in offsets]
+        assert times == [_safe_time(branch, g) for g in offsets]
+        assert all(math.isfinite(t) for t in times)
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(eps=epsilons.filter(lambda e: e > 0))

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -264,3 +265,99 @@ class TestRadiusCurveValidation:
         assert MethodId.from_string("duda") is MethodId.DUDA_VRENTAS
         with pytest.raises(ValueError):
             MethodId.from_string("nope")
+
+
+class TestRedimensionalizeOverflow:
+    def test_times_that_overflow_in_seconds_are_refused(self):
+        # R0 = 1e149 m at D = 1e-9 m^2/s gives a time scale of 3.18e306 s
+        scenario = make_scenario(initial_radius=1e149)
+        eps = nondimensionalize(scenario).epsilon
+        curve = RadiusCurve(MethodId.EXACT_QS, eps, [0.0, 100.0], [1.0, 0.5])
+        with pytest.raises(DomainError, match=r"^scenario: the curve's time 100\.0 overflows"):
+            redimensionalize(curve, scenario)
+
+    def test_radii_that_overflow_in_metres_are_refused(self):
+        scenario = make_scenario(solubility=0.0, initial_concentration=1.0, diffusivity=1.0,
+                                 initial_radius=1e154)
+        eps = nondimensionalize(scenario).epsilon
+        curve = RadiusCurve(MethodId.EXACT_QS, eps, [0.0, 1e-300], [1.0, 1e160])
+        with pytest.raises(DomainError, match=r"^scenario: the curve's length 1e\+160 overflows"):
+            redimensionalize(curve, scenario)
+
+    def test_the_largest_finite_products_are_kept(self):
+        scenario = make_scenario(initial_radius=1e149)
+        eps = nondimensionalize(scenario).epsilon
+        curve = RadiusCurve(MethodId.EXACT_QS, eps, [0.0, 50.0], [1.0, 0.5])
+        out = redimensionalize(curve, scenario)
+        assert out.times_s[-1] == 50.0 * nondimensionalize(scenario).time_scale < math.inf
+
+
+MALFORMED = {
+    "non-finite time": ([0.0, math.inf], [1.0, 0.9]),
+    "non-finite radius": ([0.0, 1.0], [1.0, math.nan]),
+    "times not increasing": ([0.0, 1.0, 1.0], [1.0, 0.9, 0.8]),
+    "times decreasing": ([1.0, 0.0], [0.9, 1.0]),
+    "negative radius": ([0.0, 1.0], [1.0, -0.5]),
+    "radius rising in dissolution": ([0.0, 1.0, 2.0], [1.0, 0.5, 0.8]),
+    "length mismatch": ([0.0, 1.0], [1.0]),
+    "empty": ([], []),
+}
+
+
+class TestRadiusCurveFloatLists:
+    """A curve of float lists is checked on builtins with the messages of the
+    numpy checks, and builds its numpy arrays only when they are asked for."""
+
+    @pytest.mark.parametrize("eps", [0.1, -0.1])
+    @pytest.mark.parametrize("case", MALFORMED, ids=list(MALFORMED))
+    def test_a_list_and_an_array_raise_the_same_message(self, case, eps):
+        times, radii = MALFORMED[case]
+        with pytest.raises(ValueError) as from_array:
+            RadiusCurve(MethodId.EXACT_QS, eps, np.array(times), np.array(radii))
+        with pytest.raises(ValueError, match=f"^{from_array.value}$"):
+            RadiusCurve(MethodId.EXACT_QS, eps, times, radii)
+
+    def test_growth_radius_falling_is_refused_alike(self):
+        times, radii = [0.0, 1.0, 2.0], [1.0, 1.5, 1.2]
+        with pytest.raises(ValueError) as from_array:
+            RadiusCurve(MethodId.EXACT_QS, -0.1, np.array(times), np.array(radii))
+        with pytest.raises(ValueError, match=f"^{from_array.value}$"):
+            RadiusCurve(MethodId.EXACT_QS, -0.1, times, radii)
+
+    @pytest.mark.parametrize("eps", [0.1, 0.0, -0.1])
+    def test_valid_lists_give_the_arrays_of_their_input(self, eps):
+        times = [0.0, 0.5, 1.0, 2.0]
+        radii = [1.0, 1.0, 1.0 - 1e-8, 1.0] if eps == 0 else [1.0, 0.9, 0.9 + 5e-8, 0.7]
+        radii = radii if eps >= 0 else [2.0 - r for r in radii]
+        curve = RadiusCurve(MethodId.EXACT_QS, eps, times, radii)
+        assert len(curve) == 4
+        assert list(curve.samples) == list(zip(times, radii))
+        assert isinstance(curve.times, np.ndarray) and isinstance(curve.radii, np.ndarray)
+        np.testing.assert_array_equal(curve.times, np.asarray(times))
+        np.testing.assert_array_equal(curve.radii, np.asarray(radii))
+        assert curve.times.dtype == curve.radii.dtype == np.float64
+        assert len(curve) == 4 and list(curve.samples) == list(zip(times, radii))
+
+    def test_the_curve_keeps_its_own_copy(self):
+        times, radii = [0.0, 1.0], [1.0, 0.9]
+        curve = RadiusCurve(MethodId.EXACT_QS, 0.1, times, radii)
+        times[1], radii[1] = -1.0, 5.0
+        assert list(curve.samples) == [(0.0, 1.0), (1.0, 0.9)]
+        assert curve.times.tolist() == [0.0, 1.0] and curve.radii.tolist() == [1.0, 0.9]
+
+    def test_ints_and_nested_lists_take_the_numpy_path(self):
+        curve = RadiusCurve(MethodId.EXACT_QS, 0.1, [0, 1], [1, 0.5])
+        assert list(curve.samples) == [(0.0, 1.0), (1.0, 0.5)]
+        with pytest.raises(ValueError, match="^times and radii must be 1-d arrays"):
+            RadiusCurve(MethodId.EXACT_QS, 0.1, [[0.0, 1.0]], [[1.0, 0.9]])
+
+    def test_unknown_attributes_still_raise(self):
+        curve = RadiusCurve(MethodId.EXACT_QS, 0.1, [0.0, 1.0], [1.0, 0.9])
+        with pytest.raises(AttributeError, match="no_such_field"):
+            curve.no_such_field
+
+    def test_a_copy_builds_its_own_arrays(self):
+        curve = RadiusCurve(MethodId.EXACT_QS, 0.1, [0.0, 1.0], [1.0, 0.9])
+        twin = copy.deepcopy(curve)
+        assert twin.times.tolist() == [0.0, 1.0] and twin.radii.tolist() == [1.0, 0.9]
+        assert list(curve.samples) == [(0.0, 1.0), (1.0, 0.9)]

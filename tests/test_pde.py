@@ -529,6 +529,15 @@ class TestSoluteBalance:
         assert curve.radii[-1] == 1.0
         assert curve.metadata["solute_drift"] is None
 
+    @pytest.mark.parametrize("ratio", [0.5, 1.0, 2.0])
+    def test_no_drift_where_the_particle_term_vanishes(self, ratio):
+        # at eps = -1/(pi ratio), 1 - beta + 1/(pi eps) = 0: the particle releases nothing
+        eps = -1.0 / (math.pi * ratio)
+        assert 1.0 - (1.0 - ratio) + 1.0 / (math.pi * eps) == 0.0
+        curve = solve_moving_boundary(eps, ratio, PdeConfig(t_end=0.01)).curve
+        assert curve.radii[-1] > 1.0
+        assert curve.metadata["solute_drift"] is None
+
 
 class TestBdfStepper:
     @pytest.mark.parametrize("eps,ratio,t_end,times", [
