@@ -194,8 +194,6 @@ def _radius(method: MethodId, eps: float, t, param: str = "t"):
 
         def formula(eps, t, xp):
             radicand = _blend_radicand(eps, alpha, t, xp)
-            if xp is FLOAT_OPS and (t >= t_clamp or radicand < 0.0):
-                warn_clamped("blended", t)
             return xp.where(t >= t_clamp, 0.0, xp.sqrt(xp.maximum(radicand, 0.0)))
     elif method is MethodId.SMALL_TIME:
         if xp is FLOAT_OPS and 2.0 * (eps * math.sqrt(t)) > 1.0:
@@ -204,6 +202,9 @@ def _radius(method: MethodId, eps: float, t, param: str = "t"):
         check_not_past(last, _T0_DISPATCH[method](eps), method.value)
     if xp is FLOAT_OPS:
         radius = top = formula(eps, t, xp)
+        # a zero radius is clamped where it is past t_clamp or its radicand is negative
+        if blended and radius == 0.0 and (t >= t_clamp or _blend_radicand(eps, alpha, t) < 0.0):
+            warn_clamped("blended", t)
     else:
         import numpy as np
         with np.errstate(over="ignore", invalid="ignore"):

@@ -144,8 +144,7 @@ def _cmd_curve(args) -> None:
     method = _parse_method(args.method)
     curve = _method_curve(method, args.epsilon, args.samples, args.t_max)
     meta = _base_meta(epsilon=args.epsilon, method=method.value, samples=args.samples)
-    rows = [[t, r] for t, r in zip(curve.times, curve.radii)]
-    _emit(args, meta, ["t", method.value], rows)
+    _emit(args, meta, ["t", method.value], [list(row) for row in curve.samples])
 
 
 def _cmd_invert(args) -> None:
@@ -280,9 +279,8 @@ def _cmd_pde(args) -> None:
     }
 
     if args.output:
-        rows = [[t, r] for t, r in zip(curve.times, curve.radii)]
-        _emit(args, _base_meta(epsilon=args.epsilon, method="pde",
-                               rho_ratio=args.rho_ratio), ["t", "pde"], rows)
+        _emit(args, _base_meta(epsilon=args.epsilon, method="pde", rho_ratio=args.rho_ratio),
+              ["t", "pde"], [list(row) for row in curve.samples])
     for index, field in enumerate(result.snapshots):
         meta = {"t": field.t, "radius": field.radius, "density_ratio": field.density_ratio}
         _write(f"{args.snapshot_prefix}_{index:03d}.csv",

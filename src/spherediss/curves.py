@@ -197,14 +197,11 @@ def sqrt_t_curve(method: MethodId, eps: float, n: int, t_max: float | None, t0: 
 
 @dataclass(frozen=True)
 class RadiusCurve:
-    """Ordered (t, R) samples of one dimensionless radius history.
+    """Ordered (t, R) samples of one dimensionless radius history, as numpy arrays.
 
-    Samples are strictly increasing in t.  For positive driving force
-    (dissolution) the radius is non-increasing, for negative (growth)
-    non-decreasing, up to a small floating-point slack.  ``times`` and
-    ``radii`` are numpy arrays; given as lists of floats, they are checked
-    without numpy and become arrays on first access, and ``len`` and
-    ``samples`` read the lists.
+    One check, on construction: epsilon and the samples are finite, the times
+    strictly increasing, and the radius non-increasing for eps > 0 (dissolution),
+    non-decreasing for eps < 0 (growth), up to a small floating-point slack.
     """
 
     method: MethodId
@@ -214,54 +211,32 @@ class RadiusCurve:
     metadata: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
-        times, radii = self.times, self.radii
-        if type(times) is list and type(radii) is list and all(
-                type(x) is float for x in times + radii):
-            # copied, and checked on builtins; ``__getattr__`` builds the arrays
-            vars(self)["_lists"] = list(vars(self).pop("times")), list(vars(self).pop("radii"))
-            steps = list(map(float.__sub__, radii[1:], radii))
-            facts = (len(times) == len(radii), len(times), all(map(math.isfinite, times + radii)),
-                     all(map(float.__lt__, times, times[1:])), min(radii, default=0.0),
-                     min(steps, default=0.0), max(steps, default=0.0))
-        else:
-            import numpy as np
-            times, radii = np.asarray(times, dtype=float), np.asarray(radii, dtype=float)
-            vars(self).update(times=times, radii=radii)
-            with np.errstate(invalid="ignore"):  # a non-finite sample is refused first
-                steps = np.diff(radii.ravel())
-                facts = (times.ndim == 1 and radii.shape == times.shape, times.size,
-                         np.all(np.isfinite(times)) and np.all(np.isfinite(radii)),
-                         not np.any(np.diff(times.ravel()) <= 0.0), radii.min(initial=0.0),
-                         steps.min(initial=0.0), steps.max(initial=0.0))
-        shaped, size, finite, increasing, least, step_min, step_max = facts
-        if not shaped:
+        import numpy as np
+        check_epsilon(self.epsilon)
+        times = np.asarray(self.times, dtype=float)
+        radii = np.asarray(self.radii, dtype=float)
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "radii", radii)
+        if times.ndim != 1 or radii.shape != times.shape:
             raise ValueError("times and radii must be 1-d arrays of equal length")
-        if size < 1:
+        if times.size < 1:
             raise ValueError("a curve needs at least one sample")
-        if not finite:
+        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(radii))):
             raise ValueError("curve samples must be finite")
-        if not increasing:
+        if np.any(np.diff(times) <= 0.0):
             raise ValueError("sample times must be strictly increasing")
-        if least < -_MONOTONE_SLACK:
+        if np.any(radii < -_MONOTONE_SLACK):
             raise ValueError("radii must be non-negative")
-        if self.epsilon > 0 and step_max > _MONOTONE_SLACK:
+        steps = np.diff(radii)
+        if self.epsilon > 0 and np.any(steps > _MONOTONE_SLACK):
             raise ValueError("radius must be non-increasing when epsilon > 0")
-        if self.epsilon < 0 and step_min < -_MONOTONE_SLACK:
+        if self.epsilon < 0 and np.any(steps < -_MONOTONE_SLACK):
             raise ValueError("radius must be non-decreasing when epsilon < 0")
 
-    def __getattr__(self, name: str):  # a float-list curve's arrays, built on first access
-        lists = vars(self).pop("_lists", None) if name in ("times", "radii") else None
-        if lists is None:
-            return object.__getattribute__(self, name)  # raises AttributeError
-        import numpy as np
-        vars(self).update(times=np.array(lists[0]), radii=np.array(lists[1]))
-        return vars(self)[name]
-
     def __len__(self) -> int:
-        lists = vars(self).get("_lists")
-        return len(lists[0] if lists else self.times)
+        return int(self.times.size)
 
     @property
     def samples(self) -> Iterator[tuple[float, float]]:
         """Iterate over (t, R) pairs in time order."""
-        return zip(*vars(self).get("_lists") or (self.times.tolist(), self.radii.tolist()))
+        return zip(self.times.tolist(), self.radii.tolist())

@@ -16,9 +16,10 @@ For small eps sigma rises in a square-root layer of width ~eps at s = 0, so
 the first step is at most 2 eps.  Stepping uses the vendored scalar DOP853 of
 ``_dop853`` (Hairer, Norsett & Wanner, "Solving ODEs I", sec. II.5) with
 scipy's step-size rules and 7th-order dense output, on plain floats, so the
-oracle imports neither scipy nor, until an array query, numpy.  The tolerances
-are module constants, read at call time.  The run's ``RadiusCurve``, of float
-lists, is its one record; ``RadiusIntegration`` adds the steps' interpolants.
+oracle imports neither scipy nor, until an array query or its ``curve``, numpy.
+The tolerances are module constants, read at call time.  ``RadiusIntegration``
+keeps the run's samples as float lists with the steps' interpolants, and builds
+the run's ``RadiusCurve`` on first access.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import bisect
 import math
 import sys
+from functools import cached_property
 
 from . import _dop853
 from .curves import FLOAT_OPS, MethodId, RadiusCurve, check_end, dissolution_time, query_times
@@ -47,20 +49,26 @@ _MAX_SCALED_RATE = math.sqrt(sys.float_info.max)
 
 
 class RadiusIntegration:
-    """Dense-output result of one oracle run: its ``curve``, whose ``last`` sample
-    (``t_end``, R) ends the run, and the interpolants ``rows`` of its accepted
-    steps with their ``ends`` in tau (in sigma for eps > 0), led by the start 0."""
+    """Dense-output result of one oracle run: its ``times`` and ``radii`` as float
+    lists, whose last sample ends the run at ``t_end``, its metadata, and the
+    interpolants ``rows`` of its accepted steps with their ``ends`` in tau (in
+    sigma for eps > 0), led by the start 0."""
 
-    def __init__(self, curve: RadiusCurve, last: tuple, ends: list[float], rows: list[tuple]):
-        self.curve = curve
-        self.t_end, self._last_radius = last
-        self._ends = ends
-        self._rows = rows
+    def __init__(self, eps: float, times: list[float], radii: list[float], metadata: dict,
+                 ends: list[float], rows: list[tuple]):
+        self._eps, self._times, self._radii, self._metadata = eps, times, radii, metadata
+        self.t_end, self._ends, self._rows = times[-1], ends, rows
+
+    @cached_property
+    def curve(self) -> RadiusCurve:
+        """The run's samples and metadata as a ``RadiusCurve``, built on first access."""
+        return RadiusCurve(MethodId.ODE_ORACLE, self._eps, self._times, self._radii,
+                           self._metadata)
 
     @property
     def dissolution_time(self) -> float | None:
         """Complete-dissolution time, the run's ``t_end`` for eps > 0; None for eps <= 0."""
-        return self.curve.metadata["dissolution_time"]
+        return self._metadata["dissolution_time"]
 
     def radius_at(self, t):
         """Radius at ``t``, a float or an array of times (which returns an array).
@@ -76,7 +84,7 @@ class RadiusIntegration:
         return np.array([self._radius(x) for x in t.ravel().tolist()]).reshape(t.shape)
 
     def _radius(self, t: float) -> float:
-        eps, ends = self.curve.epsilon, self._ends
+        eps, ends = self._eps, self._ends
         if eps > 0:
             sigma = 2.0 * eps * math.sqrt(t)
             if t < self.t_end and sigma < ends[-1]:
@@ -87,7 +95,7 @@ class RadiusIntegration:
             row = self._rows[max(bisect.bisect_left(ends, tau) - 1, 0)]
             return math.sqrt(max(_dop853._interpolate(tau, *row), 0.0))
         if tau == ends[-1]:
-            return self._last_radius
+            return self._radii[-1]
         raise DomainError("t", f"t={t!r} is outside the integrated span (<= {self.t_end:.6g})")
 
 
@@ -186,5 +194,4 @@ def integrate_radius(eps: float, t_end: float | None = None) -> RadiusIntegratio
     metadata = {"rel_tol": rtol, "abs_tol": atol,
                 "dissolution_time": times[-1] if eps > 0 else None,
                 "steps": len(rows), "rejected": rejected, "nfev": rate.nfev}
-    curve = RadiusCurve(MethodId.ODE_ORACLE, eps, times, radii, metadata)
-    return RadiusIntegration(curve, (times[-1], radii[-1]), ys if eps > 0 else xs, rows)
+    return RadiusIntegration(eps, times, radii, metadata, ys if eps > 0 else xs, rows)

@@ -113,9 +113,10 @@ class MappedField:
         object.__setattr__(self, "concentration", conc)
         if rhat.shape != conc.shape or rhat.ndim != 1:
             raise ValueError("grid and concentration must be matching 1-d arrays")
-        if abs(conc[0] - 1.0) > MAX_PRINCIPLE_TOL:
-            raise ValueError(f"surface concentration must be 1, got {conc[0]!r}")
-        if np.any(conc < -MAX_PRINCIPLE_TOL) or np.any(conc > 1.0 + MAX_PRINCIPLE_TOL):
+        # written so that a nan, which fails every comparison, fails both checks
+        if not abs(conc[0] - 1.0) <= MAX_PRINCIPLE_TOL:
+            raise ValueError(f"surface concentration must be 1, got {float(conc[0])!r}")
+        if not (conc.min() >= -MAX_PRINCIPLE_TOL and conc.max() <= 1.0 + MAX_PRINCIPLE_TOL):
             raise ValueError("concentration violates the discrete maximum principle")
 
 

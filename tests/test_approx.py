@@ -175,6 +175,24 @@ class TestBlendedRadius:
             blended_t0(-0.1)
 
 
+class TestClampWarningLocation:
+    """A clamp warning names the line that called the public function."""
+
+    @pytest.mark.parametrize("query", [
+        lambda: blended_radius(0.3, 100.0),
+        lambda: approx_radius(MethodId.BLENDED, 0.3, 100.0),
+        lambda: blended_radius(0.5, 1.0001 * blended_t0(0.5)),  # a negative radicand
+        lambda: approx_radius(MethodId.BLENDED, 0.5, 1.0001 * blended_t0(0.5)),
+        lambda: small_time_radius(0.3, 100.0),
+        lambda: approx_radius(MethodId.SMALL_TIME, 0.3, 100.0),
+    ], ids=["blended", "approx_blended", "blended_radicand", "approx_blended_radicand",
+            "small_time", "approx_small_time"])
+    def test_the_warning_points_at_the_caller(self, query):
+        with pytest.warns(ClampedRadiusWarning) as record:
+            assert query() == 0.0
+        assert [w.filename for w in record] == [__file__]
+
+
 class TestZeroEpsilon:
     """At eps = 0 every explicit formula is the static radius R = 1."""
 

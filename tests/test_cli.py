@@ -798,7 +798,7 @@ else:
         code = """import sys
 import spherediss as sd
 run = sd.integrate_radius(0.1)
-run.radius_at(1.0), run.radius_at(run.t_end), len(run.curve), list(run.curve.samples)
+run.radius_at(1.0), run.radius_at(run.t_end)
 sd.integrate_radius(-0.1, t_end=2.0).radius_at(1)"""
         assert self.loaded_after(code, ("numpy", "scipy")) == "[]"
 

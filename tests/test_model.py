@@ -227,6 +227,13 @@ class TestRedimensionalize:
         with pytest.raises(DomainError):
             redimensionalize(curve, scenario)
 
+    def test_a_nan_epsilon_curve_never_reaches_a_scenario(self):
+        # a nan mismatch is never above the tolerance: such a curve would match any scenario
+        scenario, _ = self.scenario_with_epsilon()
+        with pytest.raises(DomainError, match="^epsilon: must be finite$"):
+            redimensionalize(RadiusCurve(MethodId.EXACT_QS, math.nan, [0.0, 1.0], [1.0, 5.0]),
+                             scenario)
+
 
 class TestRadiusCurveValidation:
     def test_requires_increasing_times(self):
@@ -252,6 +259,12 @@ class TestRadiusCurveValidation:
     def test_refuses_malformed_samples(self, times, radii, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             RadiusCurve(MethodId.EXACT_QS, 0.1, times, radii)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    def test_refuses_a_non_finite_epsilon(self, eps):
+        # a nan epsilon fails every monotonicity comparison, so a rising radius passed them
+        with pytest.raises(DomainError, match="^epsilon: must be finite$"):
+            RadiusCurve(MethodId.EXACT_QS, eps, [0.0, 1.0], [1.0, 5.0])
 
     def test_method_strings_are_stable(self):
         assert MethodId.EXACT_QS.value == "exact"
@@ -305,8 +318,8 @@ MALFORMED = {
 
 
 class TestRadiusCurveFloatLists:
-    """A curve of float lists is checked on builtins with the messages of the
-    numpy checks, and builds its numpy arrays only when they are asked for."""
+    """A curve of float lists is converted to numpy arrays and checked as an
+    array curve is, with the same messages."""
 
     @pytest.mark.parametrize("eps", [0.1, -0.1])
     @pytest.mark.parametrize("case", MALFORMED, ids=list(MALFORMED))

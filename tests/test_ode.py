@@ -7,6 +7,8 @@ import pytest
 from spherediss import (
     DomainError,
     IntegrationError,
+    MethodId,
+    RadiusCurve,
     integrate_radius,
     radius_at,
     time_to_dissolution,
@@ -199,6 +201,22 @@ class TestErrorPaths:
             integrate_radius(0.1, t_end=-1.0)
         with pytest.raises(DomainError):
             integrate_radius(math.inf)
+
+
+class TestLazyCurve:
+    @pytest.mark.parametrize("eps,t_end", [(0.1, None), (-0.1, 2.0), (0.0, 2.0)])
+    def test_the_curve_is_built_once_on_first_access(self, monkeypatch, eps, t_end):
+        built = []
+        monkeypatch.setattr(ode, "RadiusCurve",
+                            lambda *args: built.append(args) or RadiusCurve(*args))
+        run = integrate_radius(eps, t_end=t_end)
+        run.radius_at(run.t_end), run.radius_at(np.array([0.0, run.t_end])), run.dissolution_time
+        assert built == []
+        curve = run.curve
+        assert curve is run.curve and len(built) == 1
+        assert curve.method is MethodId.ODE_ORACLE and curve.epsilon == eps
+        assert curve.times[-1] == run.t_end and curve.radii[-1] == run.radius_at(run.t_end)
+        assert curve.metadata["dissolution_time"] == run.dissolution_time
 
 
 class TestCurveMetadata:

@@ -221,6 +221,15 @@ class TestMappedFieldValidation:
         with pytest.raises(ValueError):
             MappedField(rhat, np.array([0.8, 0.5, 0.2, 0.0]), 1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("concentration,message", [
+        ([math.nan, 0.5, 0.0], "^surface concentration must be 1, got nan$"),
+        ([1.0, math.nan, 0.0], "^concentration violates the discrete maximum principle$"),
+    ])
+    def test_rejects_nan_concentration(self, concentration, message):
+        # a nan fails every comparison, so each check must be one that nan fails
+        with pytest.raises(ValueError, match=message):
+            MappedField([1.0, 2.0, 3.0], concentration, 0.9, 1.0, 1.0)
+
 
 @functools.lru_cache(maxsize=None)
 def _run(eps, ratio, t_end=None, fractions=()):
