@@ -105,7 +105,10 @@ def blend_alpha(eps: float) -> float:
     log10(eps) on 0.1 <= eps <= 0.5 (inclusive at both ends), and a rational
     form in |eps| on -0.5 <= eps < 0.
     """
-    check_epsilon(eps)
+    return _blend_alpha(check_epsilon(eps))
+
+
+def _blend_alpha(eps: float) -> float:
     if eps == 0:
         raise DomainError("epsilon", "the blended fit is undefined at epsilon = 0")
     if not FIT_RANGE[0] <= eps <= FIT_RANGE[1]:
@@ -135,8 +138,13 @@ def blended_t0(eps: float) -> float:
     (eps sqrt(t_i) - 1) < 0.  Below eps of about 4e-34 the duda t0 rounds to
     t_i or above it, so the bracket starts at the smaller: t0 is in (0, 1/(2 eps)].
     """
-    t_hi = dissolution_time(eps, _T0_DISPATCH[MethodId.INTUITIVE], "blended")
-    alpha = blend_alpha(eps)
+    return dissolution_time(eps, _blended_t0, "blended")
+
+
+def _blended_t0(eps: float) -> float:
+    # where the intuitive t0 overflows, the bisection stops at once and returns inf
+    t_hi = _T0_DISPATCH[MethodId.INTUITIVE](eps)
+    alpha = _blend_alpha(eps)
     t_lo = min(_T0_DISPATCH[MethodId.DUDA_VRENTAS](eps), t_hi)
     lo, hi = bisect(lambda t: _blend_radicand(eps, alpha, t) > 0.0, t_lo, t_hi,
                     _BLEND_T0_REL_TOL * max(1.0, 0.5 / eps))
@@ -160,7 +168,7 @@ _T0_DISPATCH = {
     MethodId.SMALL_TIME: lambda eps: 0.25 / (eps * eps),
     MethodId.INTUITIVE: lambda eps: 1.0 / (2.0 * eps * (2.0 * eps + 1.0)),
     MethodId.DUDA_VRENTAS: lambda eps: (math.sqrt(1.0 + 0.5 / eps) - 1.0) ** 2,
-    MethodId.BLENDED: blended_t0,
+    MethodId.BLENDED: _blended_t0,
 }
 
 
@@ -180,13 +188,12 @@ def _radius(method: MethodId, eps: float, t, param: str = "t"):
     its end-time rule and its formula, and refuses a radius that is not finite
     (the times named ``param``)."""
     formula, blended = _FORMULAS.get(method), method is MethodId.BLENDED
+    if formula is None and not blended:
+        raise DomainError("method", f"{method.value!r} is not an explicit approximation")
+    eps = check_epsilon(eps)
     if blended:
         # the fit is undefined at eps = 0, where every weight gives R = 1
-        alpha = blend_alpha(eps) if eps != 0 else 0.0
-    elif formula is None:
-        raise DomainError("method", f"{method.value!r} is not an explicit approximation")
-    else:
-        check_epsilon(eps)
+        alpha = _blend_alpha(eps) if eps != 0 else 0.0
     xp, t, _, last = query_times(t)
     if blended:
         # the radicand is <= 0 from the blended t0 to the intuitive t0: clamp from there
@@ -235,6 +242,6 @@ def approx_curve(
     For eps > 0 the grid spans [0, t0(method)] unless ``t_max`` cuts it
     short; for eps <= 0 a ``t_max`` is required.
     """
-    check_grid(eps, n, t_max)
+    eps = check_grid(eps, n, t_max)
     return sqrt_t_curve(method, eps, n, t_max, approx_t0(method, eps) if eps > 0 else math.inf,
                         lambda times: _radius(method, eps, times, "t_max"))

@@ -1,10 +1,12 @@
 """Carriers for radius-versus-time data shared by every solution method, and the query
 contract every layer applies before it evaluates a formula, each rule written once:
-what a valid time is (``query_times``), how far past t0 a time may lie
-(``check_not_past``), when a dissolution time exists (``dissolution_time``), when an
-end time is required (``check_end``), where a sampled curve ends (``check_span``: at
-t0 or ``t_max``, the earlier) and how a curve uniform in sqrt(t) is sampled up to
-there (``sqrt_t_curve``).  Every bracket is halved at 0.5 lo + 0.5 hi, which cannot
+what a valid epsilon is (``check_epsilon``, which returns the Python float that every
+layer then computes with, so a numpy scalar takes the float path), what a valid time
+is (``query_times``), how far past t0 a time may lie (``check_not_past``), when a
+dissolution time exists (``dissolution_time``), when an end time is required
+(``check_end``), where a sampled curve ends (``check_span``: at t0 or ``t_max``, the
+earlier) and how a curve uniform in sqrt(t) is sampled up to there
+(``sqrt_t_curve``).  Every bracket is halved at 0.5 lo + 0.5 hi, which cannot
 overflow: in ``bisect``, which finds each level crossing (the blended t0, the
 moving-boundary solver's radius-floor stop, the PDE grid's stretching ratio), and
 where the Newton solvers of ``exact`` and ``ode`` fall back to bisection.
@@ -81,10 +83,11 @@ def array_ops() -> SimpleNamespace:
                            minimum=np.minimum, where=np.where)
 
 
-def check_epsilon(eps: float) -> None:
-    """Refuse a driving force that is not a finite number."""
+def check_epsilon(eps: float) -> float:
+    """Refuse a driving force that is not a finite number; return the Python float it holds."""
     if not math.isfinite(eps):
         raise DomainError("epsilon", "must be finite")
+    return float(eps)
 
 
 def query_times(t):
@@ -127,8 +130,8 @@ def dissolution_time(eps: float, formula: Callable[[float], float], method: str)
     A formula that divides by zero or overflows for tiny eps has no
     representable t0, and is refused as well.
     """
-    if not 0.0 < eps < math.inf:
-        check_epsilon(eps)
+    eps = check_epsilon(eps)
+    if not eps > 0.0:
         raise DomainError("epsilon", "dissolution never completes for epsilon <= 0")
     try:
         t0 = formula(eps)
@@ -140,14 +143,15 @@ def dissolution_time(eps: float, formula: Callable[[float], float], method: str)
     return t0
 
 
-def check_end(eps: float, t_end: float | None, param: str) -> None:
-    """Refuse an end time ``t_end`` (named ``param``) that is not positive and
-    finite, and a missing one for eps <= 0, where nothing ends the history."""
-    check_epsilon(eps)
+def check_end(eps: float, t_end: float | None, param: str) -> float:
+    """Refuse an end time ``t_end`` (named ``param``) that is not positive and finite,
+    or missing for eps <= 0, where nothing ends the history; return ``check_epsilon(eps)``."""
+    eps = check_epsilon(eps)
     if t_end is not None and not 0.0 < t_end < math.inf:
         raise DomainError(param, f"must be positive, got {t_end!r}")
     if eps <= 0 and t_end is None:
         raise DomainError(param, "required for epsilon <= 0 (no finite endpoint)")
+    return eps
 
 
 def bisect(above: Callable[[float], bool], lo: float, hi: float, xtol: float = 0.0):
@@ -164,15 +168,15 @@ def bisect(above: Callable[[float], bool], lo: float, hi: float, xtol: float = 0
     return lo, hi
 
 
-def check_grid(eps: float, n: int, t_max: float | None) -> None:
+def check_grid(eps: float, n: int, t_max: float | None) -> float:
     """Refuse a sampling request that cannot give a curve of ``n`` >= 2 points,
     or that asks for more than ``MAX_SAMPLES``, or whose end ``t_max`` fails
-    ``check_end``."""
+    ``check_end``; return ``check_epsilon(eps)``."""
     if not isinstance(n, numbers.Integral) or n < 2:
         raise DomainError("n", f"need at least 2 samples, got {n!r}")
     if n > MAX_SAMPLES:
         raise DomainError("n", f"at most {MAX_SAMPLES} samples, got {n}")
-    check_end(eps, t_max, "t_max")
+    return check_end(eps, t_max, "t_max")
 
 
 def check_span(t0: float, t_max: float | None) -> float:
@@ -212,7 +216,7 @@ class RadiusCurve:
 
     def __post_init__(self):
         import numpy as np
-        check_epsilon(self.epsilon)
+        object.__setattr__(self, "epsilon", check_epsilon(self.epsilon))
         times = np.asarray(self.times, dtype=float)
         radii = np.asarray(self.radii, dtype=float)
         object.__setattr__(self, "times", times)

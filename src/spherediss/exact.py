@@ -104,8 +104,8 @@ class _Branch(NamedTuple):
 
 
 def _branch(eps: float, regime: Regime | None = None) -> _Branch:
-    """The branch table entry for ``eps``, which must lie in ``regime`` if given."""
-    eps = float(eps)  # a numpy scalar would carry its type and warnings into every branch value
+    """The branch table entry for ``eps``, a float ``check_epsilon`` returned, which
+    must lie in ``regime`` if given."""
     found = classify_regime(eps)
     if regime is not None and found is not regime:
         raise DomainError("epsilon", f"{regime.value} branch does not cover epsilon={eps!r}")
@@ -204,7 +204,9 @@ class ParametricPoint:
 def _point(branch: _Branch, param: float) -> ParametricPoint:
     lower, growth = branch.lower, branch.regime is _GROWTH
     if not math.isfinite(param) or param < lower or (growth and param == lower):
-        raise DomainError("param", f"must be {'>' if growth else '>='} {lower!r}, got {param!r}")
+        raise DomainError("param", f"must be {'>' if growth else '>='} {lower!r}, "
+                                   f"got {float(param)!r}")
+    param = float(param)
     g = param - lower
     t = branch.time(g)
     if not EARLIEST_SAMPLE <= t < math.inf:
@@ -215,17 +217,17 @@ def _point(branch: _Branch, param: float) -> ParametricPoint:
 def param_point_dissolution(eps: float, param: float) -> ParametricPoint:
     """Dissolution branch (0 < eps < 2) at parameter p >= k: from R = 0 at
     p = k (complete dissolution) to t -> 0, R -> 1 as p -> infinity."""
-    return _point(_branch(eps, Regime.DISSOLUTION), param)
+    return _point(_branch(check_epsilon(eps), Regime.DISSOLUTION), param)
 
 
 def param_point_growth(eps: float, param: float) -> ParametricPoint:
     """Growth branch (eps < 0) at parameter p > 1."""
-    return _point(_branch(eps, Regime.GROWTH), param)
+    return _point(_branch(check_epsilon(eps), Regime.GROWTH), param)
 
 
 def param_point_supercritical(eps: float, param: float) -> ParametricPoint:
     """Supercritical dissolution branch (eps > 2) at parameter p >= k."""
-    return _point(_branch(eps, Regime.SUPERCRITICAL), param)
+    return _point(_branch(check_epsilon(eps), Regime.SUPERCRITICAL), param)
 
 
 def param_point_critical(param: float) -> ParametricPoint:
@@ -261,7 +263,7 @@ def radius_at(eps: float, t):
     no time may exceed the complete-dissolution time; such queries raise
     ``PastDissolutionError``.
     """
-    check_epsilon(eps)
+    eps = check_epsilon(eps)
     xp, t, _, last = query_times(t)
     branch = _branch(eps) if eps != 0 else None
     t0 = branch.time(0.0) if eps > 0 else math.inf
@@ -300,7 +302,7 @@ def exact_curve(eps: float, n: int = 256, t_max: float | None = None) -> RadiusC
     resolves both the t -> 0 and the R -> 0 ends.
     """
     import numpy as np
-    check_grid(eps, n, t_max)
+    eps = check_grid(eps, n, t_max)
     t0 = time_to_dissolution(eps) if eps > 0 else math.inf
     t_end = check_span(t0, t_max)
     t_first = t_end * START_FRACTION
@@ -347,6 +349,7 @@ def concentration_profile(radius: float, t: float, r: float) -> float:
     """
     if not (math.isfinite(radius) and math.isfinite(t) and math.isfinite(r)):
         raise DomainError("r", "arguments must be finite")
+    radius, t, r = float(radius), float(t), float(r)
     if radius <= 0:
         raise DomainError("radius", f"must be positive, got {radius!r}")
     if t <= 0:

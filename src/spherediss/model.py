@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 from .curves import MethodId, RadiusCurve, check_epsilon
@@ -64,7 +65,7 @@ def classify_regime(epsilon: float) -> Regime:
 def branch_exponent(epsilon: float) -> float:
     """sqrt(|epsilon / (2 - epsilon)|): the exponent constant k of the implicit
     time formula.  Undefined at the critical value 2."""
-    check_epsilon(epsilon)
+    epsilon = check_epsilon(epsilon)
     if epsilon == 2:
         raise DomainError("epsilon", "the critical branch has no exponent constant")
     return math.sqrt(abs(epsilon / (2.0 - epsilon)))
@@ -106,16 +107,11 @@ class PhysicalScenario:
     initial_radius: float
 
     def __post_init__(self):
-        for name in (
-            "solubility",
-            "initial_concentration",
-            "particle_density",
-            "medium_density",
-            "diffusivity",
-            "initial_radius",
-        ):
+        for name in (item.name for item in fields(self)):
             value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
+            if isinstance(value, numbers.Real):  # a numpy number too is kept as its float
+                object.__setattr__(self, name, value := float(value))
+            if not isinstance(value, float) or not math.isfinite(value):
                 raise DomainError(name, f"must be a finite number, got {value!r}")
         for name in ("particle_density", "medium_density", "diffusivity", "initial_radius"):
             if getattr(self, name) <= 0:
@@ -145,7 +141,7 @@ class DimensionlessProblem:
     length_scale: float
 
     def __post_init__(self):
-        check_epsilon(self.epsilon)
+        object.__setattr__(self, "epsilon", check_epsilon(self.epsilon))
         for name, value in (("time_scale", self.time_scale), ("length_scale", self.length_scale)):
             if not 0.0 < value < math.inf:
                 raise DomainError(name, f"must be positive and finite, got {value!r}")
@@ -176,8 +172,7 @@ class DimensionalCurve:
     radii_m: np.ndarray
 
     def __len__(self) -> int:
-        import numpy as np
-        return int(np.asarray(self.times_s).size)
+        return len(self.times_s)
 
 
 def nondimensionalize(scenario: PhysicalScenario) -> DimensionlessProblem:

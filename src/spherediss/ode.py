@@ -161,8 +161,7 @@ def integrate_radius(eps: float, t_end: float | None = None) -> RadiusIntegratio
     ``t_end`` is only checked.  For eps <= 0 a ``t_end`` is required since
     nothing ever stops the run, and the run ends there.
     """
-    eps = float(eps)  # a numpy scalar would carry its type and warnings into every step
-    check_end(eps, t_end, "t_end")
+    eps = check_end(eps, t_end, "t_end")
     rtol, atol = RTOL, ATOL
     if 4.0 * abs(eps) / (atol + rtol) > _MAX_SCALED_RATE:
         raise DomainError("epsilon", f"{eps!r} is too large for the oracle: |epsilon| "

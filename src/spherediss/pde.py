@@ -111,9 +111,15 @@ class MappedField:
         conc = np.asarray(self.concentration, dtype=float)
         object.__setattr__(self, "rhat", rhat)
         object.__setattr__(self, "concentration", conc)
-        if rhat.shape != conc.shape or rhat.ndim != 1:
-            raise ValueError("grid and concentration must be matching 1-d arrays")
-        # written so that a nan, which fails every comparison, fails both checks
+        if rhat.shape != conc.shape or rhat.ndim != 1 or rhat.size == 0:
+            raise ValueError("grid and concentration must be matching non-empty 1-d arrays")
+        # written so that a nan, which fails every comparison, fails every check
+        if not (np.all(np.isfinite(rhat)) and np.all(np.diff(rhat) > 0.0)):
+            raise ValueError("grid must be finite and strictly increasing")
+        for name, value in (("radius", self.radius), ("t", self.t),
+                            ("density_ratio", self.density_ratio)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if not abs(conc[0] - 1.0) <= MAX_PRINCIPLE_TOL:
             raise ValueError(f"surface concentration must be 1, got {float(conc[0])!r}")
         if not (conc.min() >= -MAX_PRINCIPLE_TOL and conc.max() <= 1.0 + MAX_PRINCIPLE_TOL):
@@ -410,8 +416,7 @@ def solve_moving_boundary(
     tolerances, the start time, why it stopped and the work are its metadata.
     """
     config = config or PdeConfig()
-    eps, density_ratio = float(eps), float(density_ratio)  # a numpy scalar's type would spread
-    check_end(eps, config.t_end, "t_end")
+    eps, density_ratio = check_end(eps, config.t_end, "t_end"), float(density_ratio)
     if not math.isfinite(density_ratio) or density_ratio <= 0:
         raise DomainError("density_ratio", f"must be positive, got {density_ratio!r}")
 

@@ -1,9 +1,10 @@
 """The query contract of ``spherediss.curves``, seen from every layer.
 
-Each rule (valid times, no time past t0, when a dissolution time exists,
-when an end time is required, where a sampled curve ends) is written once, so
-every layer that answers a query refuses the same input with the same one-line
-message, and every sampled curve ends at the same time.
+Each rule (a valid epsilon, taken as the Python float it holds, valid times, no
+time past t0, when a dissolution time exists, when an end time is required,
+where a sampled curve ends) is written once, so every layer that answers a query
+refuses the same input with the same one-line message, every sampled curve ends
+at the same time, and a numpy number gives what its Python float gives.
 """
 
 import math
@@ -18,17 +19,23 @@ from spherediss import (
     MethodId,
     PastDissolutionError,
     PdeConfig,
+    PhysicalScenario,
+    RadiusCurve,
     approx_curve,
     approx_radius,
     approx_t0,
+    blend_alpha,
     blended_t0,
     branch_exponent,
     classify_regime,
+    concentration_profile,
     duda_t0,
     exact_curve,
     extinction_parameter,
     integrate_radius,
     intuitive_t0,
+    nondimensionalize,
+    param_point_critical,
     param_point_dissolution,
     param_point_growth,
     param_point_supercritical,
@@ -185,18 +192,113 @@ class TestEndTimes:
             assert capsys.readouterr() == ("", expected + "\n")
 
 
+def _outcome(make, value):
+    """What ``make(value)`` gives, with every warning an error: a curve's epsilon
+    (by repr, which tells a numpy scalar from a float), samples and metadata; the
+    repr of any other result; or the type and message of the exception raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            got = make(value)
+        except Exception as error:
+            return type(error), str(error)
+    if isinstance(got, RadiusCurve):
+        return repr(got.epsilon), got.times.tolist(), got.radii.tolist(), got.metadata
+    return repr(got)
+
+
+def _scenario(solubility=1.0, diffusivity=1e-9, initial_radius=2e-6):
+    return nondimensionalize(PhysicalScenario(solubility, 0.0, 1000.0, 1000.0, diffusivity,
+                                              initial_radius))
+
+
+#: Entries taking epsilon at a tiny or huge value, where a numpy scalar's own arithmetic
+#: overflows or warns: each with the epsilon that shows it.
+EDGE_ENTRIES = [
+    ("approx_t0-small-time", lambda e: approx_t0(MethodId.SMALL_TIME, e), 1e-200),
+    ("approx_t0-qss", lambda e: approx_t0(MethodId.QSS, e), 1e-320),
+    ("approx_t0-intuitive", lambda e: approx_t0(MethodId.INTUITIVE, e), 1e-320),
+    ("approx_t0-duda", lambda e: approx_t0(MethodId.DUDA_VRENTAS, e), 1e-320),
+    ("approx_t0-blended", lambda e: approx_t0(MethodId.BLENDED, e), 1e-320),
+    ("blended_t0-tiny", blended_t0, 1e-320),
+    ("approx_curve-tiny", lambda e: approx_curve(MethodId.QSS, e, 8), 1e-320),
+    ("approx_radius-qss-huge", lambda e: approx_radius(MethodId.QSS, e, 1e300), -1e300),
+    ("approx_radius-duda-huge", lambda e: approx_radius(MethodId.DUDA_VRENTAS, e, 1e300), -1e300),
+    ("time_to_dissolution-tiny", time_to_dissolution, 1e-320),
+    ("exact_curve-tiny", lambda e: exact_curve(e, 8), 1e-320),
+]
+
+#: Entries taking epsilon at an ordinary value, one per entry and regime.
+EPSILON_ENTRIES = [
+    *[(f"approx_radius-{m.value}", lambda e, m=m: approx_radius(m, e, 0.5), 0.1)
+      for m in EXPLICIT_METHODS],
+    *[(f"t0-{m.value}", lambda e, m=m: approx_t0(m, e), 0.1) for m in T0_METHODS],
+    *[(f"approx_curve-{m.value}", lambda e, m=m: approx_curve(m, e, 8), 0.1)
+      for m in EXPLICIT_METHODS],
+    ("blend_alpha", blend_alpha, 0.05),
+    ("blend_alpha-growth", blend_alpha, -0.3),
+    ("blended_t0", blended_t0, 0.05),
+    ("radius_at-dissolution", lambda e: radius_at(e, 0.5), 0.1),
+    ("radius_at-growth", lambda e: radius_at(e, 0.5), -0.1),
+    ("radius_at-array", lambda e: radius_at(e, np.array([0.5])).tolist(), 0.1),
+    ("time_to_dissolution", time_to_dissolution, 3.0),
+    ("exact_curve", lambda e: exact_curve(e, 8), 0.1),
+    ("param_point_dissolution", lambda e: param_point_dissolution(e, 2.0), 0.1),
+    ("param_point_growth", lambda e: param_point_growth(e, 2.0), -0.1),
+    ("param_point_supercritical", lambda e: param_point_supercritical(e, 2.0), 3.0),
+    ("classify_regime", classify_regime, 0.1),
+    ("branch_exponent", branch_exponent, 0.1),
+    ("extinction_parameter", extinction_parameter, 0.1),
+    ("DimensionlessProblem", lambda e: DimensionlessProblem(e, 1.0, 1.0), 0.1),
+    ("RadiusCurve", lambda e: RadiusCurve(MethodId.QSS, e, [0.0, 1.0], [1.0, 0.5]), 0.1),
+    ("integrate_radius", lambda e: integrate_radius(e).curve, 0.1),
+]
+
+#: Entries taking another scalar, with a numpy argument and the Python one it holds.
+SCALAR_ENTRIES = [
+    ("scenario-overflow", lambda v: _scenario(diffusivity=v[0], initial_radius=v[1]),
+     (np.float64(1e-300), np.float64(1e200)), (1e-300, 1e200)),
+    ("scenario-epsilon", lambda v: _scenario(solubility=v), np.float64(2.0), 2.0),
+    ("scenario-float32", lambda v: _scenario(solubility=v), np.float32(2.0), 2.0),
+    ("scenario-int64", lambda v: _scenario(solubility=v), np.int64(2), 2),
+    ("param-refused", lambda p: param_point_growth(-0.1, p), np.float64(1.0), 1.0),
+    ("param", lambda p: param_point_dissolution(0.1, p), np.float32(2.0), 2.0),
+    ("param-critical", param_point_critical, np.float64(0.5), 0.5),
+    ("profile", lambda v: concentration_profile(*v),
+     (np.float64(1.0), np.float64(1.0), np.float64(1.5)), (1.0, 1.0, 1.5)),
+    ("profile-float32", lambda v: concentration_profile(*v),
+     (np.float32(0.5), np.float32(0.125), np.float32(0.75)), (0.5, 0.125, 0.75)),
+    ("profile-refused", lambda v: concentration_profile(*v),
+     (np.float64(1.0), np.float64(-1.0), np.float64(1.5)), (1.0, -1.0, 1.5)),
+    ("profile-inside", lambda v: concentration_profile(*v),
+     (np.float64(1.0), np.float64(1.0), np.float64(0.5)), (1.0, 1.0, 0.5)),
+]
+
+
 class TestNumpyNumbers:
     """A numpy scalar is taken as the Python float or int it holds."""
 
     @staticmethod
     def _same(make, numpy_value, python_value):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = make(numpy_value)
-        expected = make(python_value)
-        assert got.times.tolist() == expected.times.tolist()
-        assert got.radii.tolist() == expected.radii.tolist()
-        assert got.metadata == expected.metadata
+        assert _outcome(make, numpy_value) == _outcome(make, python_value)
+
+    @pytest.mark.parametrize("make,eps", [entry[1:] for entry in EDGE_ENTRIES],
+                             ids=[entry[0] for entry in EDGE_ENTRIES])
+    def test_a_numpy_epsilon_at_the_edges_gives_what_its_float_gives(self, make, eps):
+        self._same(make, np.float64(eps), eps)
+
+    @pytest.mark.parametrize("make,eps", [entry[1:] for entry in EPSILON_ENTRIES],
+                             ids=[entry[0] for entry in EPSILON_ENTRIES])
+    @pytest.mark.parametrize("numpy_type", [np.float64, np.float32])
+    def test_a_numpy_epsilon_gives_what_its_float_gives(self, make, eps, numpy_type):
+        value = numpy_type(eps)
+        self._same(make, value, float(value))
+
+    @pytest.mark.parametrize("make,numpy_value,python_value",
+                             [entry[1:] for entry in SCALAR_ENTRIES],
+                             ids=[entry[0] for entry in SCALAR_ENTRIES])
+    def test_a_numpy_scalar_gives_what_its_float_gives(self, make, numpy_value, python_value):
+        self._same(make, numpy_value, python_value)
 
     def test_a_numpy_epsilon_runs_as_its_float(self):
         eps = np.float32(0.1)

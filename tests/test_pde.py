@@ -230,6 +230,27 @@ class TestMappedFieldValidation:
         with pytest.raises(ValueError, match=message):
             MappedField([1.0, 2.0, 3.0], concentration, 0.9, 1.0, 1.0)
 
+    @pytest.mark.parametrize("rhat,message", [
+        ([], "^grid and concentration must be matching non-empty 1-d arrays$"),
+        ([1.0, math.nan, 3.0], "^grid must be finite and strictly increasing$"),
+        ([1.0, 2.0, math.inf], "^grid must be finite and strictly increasing$"),
+        ([1.0, 0.5, 3.0], "^grid must be finite and strictly increasing$"),
+        ([1.0, 1.0, 3.0], "^grid must be finite and strictly increasing$"),
+    ], ids=["empty", "nan", "inf", "decreasing", "repeated"])
+    def test_rejects_a_bad_grid(self, rhat, message):
+        concentration = [1.0, 0.5, 0.0][:len(rhat)]
+        with pytest.raises(ValueError, match=message):
+            MappedField(rhat, concentration, 1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("name,value", [
+        ("radius", math.nan), ("radius", 0.0), ("radius", math.inf), ("t", math.nan),
+        ("t", -1.0), ("density_ratio", math.nan), ("density_ratio", 0.0),
+    ])
+    def test_rejects_a_bad_scalar(self, name, value):
+        scalars = {"radius": 1.0, "t": 1.0, "density_ratio": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got "):
+            MappedField([1.0, 2.0, 3.0], [1.0, 0.5, 0.0], **scalars)
+
 
 @functools.lru_cache(maxsize=None)
 def _run(eps, ratio, t_end=None, fractions=()):
