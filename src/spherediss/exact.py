@@ -51,8 +51,7 @@ from .curves import (
     query_times,
 )
 from .errors import DomainError
-from .model import (_CRITICAL, _DISSOLUTION, _GROWTH, _STATIC, Regime, branch_exponent,
-                    classify_regime)
+from .model import _CRITICAL, _DISSOLUTION, _GROWTH, _STATIC, Regime, classify_regime
 
 #: |R - 1| <= |eps| (t + 2 sqrt(t)); below this bound R rounds to 1.0.
 _ROUNDS_TO_ONE = 1e-17
@@ -117,7 +116,7 @@ def _branch(eps: float, regime: Regime | None = None) -> _Branch:
         return _Branch(found, 0.0, 0.0, 4.0, 1.0, 0.0, 4.0, critical)
     if found is _STATIC:
         raise DomainError("epsilon", "the static regime has no parametric branch")
-    k = branch_exponent(eps)
+    k = math.sqrt(abs(eps / (2.0 - eps)))  # branch_exponent, without a second check
     a = math.sqrt(abs(2.0 - eps)) * math.sqrt(abs(eps))
     scale = abs(eps * (2.0 - eps))
     if math.isinf(scale):
@@ -203,10 +202,9 @@ class ParametricPoint:
 
 def _point(branch: _Branch, param: float) -> ParametricPoint:
     lower, growth = branch.lower, branch.regime is _GROWTH
-    if not math.isfinite(param) or param < lower or (growth and param == lower):
-        raise DomainError("param", f"must be {'>' if growth else '>='} {lower!r}, "
-                                   f"got {float(param)!r}")
-    param = float(param)
+    finite, param = math.isfinite(param), float(param)  # isfinite raises on a str; float parses it
+    if not finite or param < lower or (growth and param == lower):
+        raise DomainError("param", f"must be {'>' if growth else '>='} {lower!r}, got {param!r}")
     g = param - lower
     t = branch.time(g)
     if not EARLIEST_SAMPLE <= t < math.inf:

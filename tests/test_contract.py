@@ -194,17 +194,24 @@ class TestEndTimes:
 
 def _outcome(make, value):
     """What ``make(value)`` gives, with every warning an error: a curve's epsilon
-    (by repr, which tells a numpy scalar from a float), samples and metadata; the
-    repr of any other result; or the type and message of the exception raised."""
+    (by repr, which tells a numpy scalar from a float), samples and metadata, or
+    the repr of any other result.  An exception propagates."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        try:
-            got = make(value)
-        except Exception as error:
-            return type(error), str(error)
+        got = make(value)
     if isinstance(got, RadiusCurve):
         return repr(got.epsilon), got.times.tolist(), got.radii.tolist(), got.metadata
     return repr(got)
+
+
+def _refusal(make, value):
+    """The type and message of what ``make(value)`` raises, with every warning an
+    error; fails if it raises nothing."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Exception) as caught:
+            make(value)
+    return type(caught.value), str(caught.value)
 
 
 def _scenario(solubility=1.0, diffusivity=1e-9, initial_radius=2e-6):
@@ -212,7 +219,7 @@ def _scenario(solubility=1.0, diffusivity=1e-9, initial_radius=2e-6):
                                               initial_radius))
 
 
-#: Entries taking epsilon at a tiny or huge value, where a numpy scalar's own arithmetic
+#: Entries refusing epsilon at a tiny or huge value, where a numpy scalar's own arithmetic
 #: overflows or warns: each with the epsilon that shows it.
 EDGE_ENTRIES = [
     ("approx_t0-small-time", lambda e: approx_t0(MethodId.SMALL_TIME, e), 1e-200),
@@ -256,18 +263,22 @@ EPSILON_ENTRIES = [
 
 #: Entries taking another scalar, with a numpy argument and the Python one it holds.
 SCALAR_ENTRIES = [
-    ("scenario-overflow", lambda v: _scenario(diffusivity=v[0], initial_radius=v[1]),
-     (np.float64(1e-300), np.float64(1e200)), (1e-300, 1e200)),
     ("scenario-epsilon", lambda v: _scenario(solubility=v), np.float64(2.0), 2.0),
     ("scenario-float32", lambda v: _scenario(solubility=v), np.float32(2.0), 2.0),
     ("scenario-int64", lambda v: _scenario(solubility=v), np.int64(2), 2),
-    ("param-refused", lambda p: param_point_growth(-0.1, p), np.float64(1.0), 1.0),
     ("param", lambda p: param_point_dissolution(0.1, p), np.float32(2.0), 2.0),
     ("param-critical", param_point_critical, np.float64(0.5), 0.5),
     ("profile", lambda v: concentration_profile(*v),
      (np.float64(1.0), np.float64(1.0), np.float64(1.5)), (1.0, 1.0, 1.5)),
     ("profile-float32", lambda v: concentration_profile(*v),
      (np.float32(0.5), np.float32(0.125), np.float32(0.75)), (0.5, 0.125, 0.75)),
+]
+
+#: Entries refusing another scalar, as ``SCALAR_ENTRIES``.
+SCALAR_REFUSALS = [
+    ("scenario-overflow", lambda v: _scenario(diffusivity=v[0], initial_radius=v[1]),
+     (np.float64(1e-300), np.float64(1e200)), (1e-300, 1e200)),
+    ("param-refused", lambda p: param_point_growth(-0.1, p), np.float64(1.0), 1.0),
     ("profile-refused", lambda v: concentration_profile(*v),
      (np.float64(1.0), np.float64(-1.0), np.float64(1.5)), (1.0, -1.0, 1.5)),
     ("profile-inside", lambda v: concentration_profile(*v),
@@ -282,10 +293,14 @@ class TestNumpyNumbers:
     def _same(make, numpy_value, python_value):
         assert _outcome(make, numpy_value) == _outcome(make, python_value)
 
+    @staticmethod
+    def _same_refusal(make, numpy_value, python_value):
+        assert _refusal(make, numpy_value) == _refusal(make, python_value)
+
     @pytest.mark.parametrize("make,eps", [entry[1:] for entry in EDGE_ENTRIES],
                              ids=[entry[0] for entry in EDGE_ENTRIES])
-    def test_a_numpy_epsilon_at_the_edges_gives_what_its_float_gives(self, make, eps):
-        self._same(make, np.float64(eps), eps)
+    def test_a_numpy_epsilon_at_the_edges_is_refused_as_its_float(self, make, eps):
+        self._same_refusal(make, np.float64(eps), eps)
 
     @pytest.mark.parametrize("make,eps", [entry[1:] for entry in EPSILON_ENTRIES],
                              ids=[entry[0] for entry in EPSILON_ENTRIES])
@@ -299,6 +314,12 @@ class TestNumpyNumbers:
                              ids=[entry[0] for entry in SCALAR_ENTRIES])
     def test_a_numpy_scalar_gives_what_its_float_gives(self, make, numpy_value, python_value):
         self._same(make, numpy_value, python_value)
+
+    @pytest.mark.parametrize("make,numpy_value,python_value",
+                             [entry[1:] for entry in SCALAR_REFUSALS],
+                             ids=[entry[0] for entry in SCALAR_REFUSALS])
+    def test_a_numpy_scalar_is_refused_as_its_float(self, make, numpy_value, python_value):
+        self._same_refusal(make, numpy_value, python_value)
 
     def test_a_numpy_epsilon_runs_as_its_float(self):
         eps = np.float32(0.1)
